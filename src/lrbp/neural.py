@@ -209,23 +209,21 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
 
     agg = np.zeros_like(values)
     records = []
-    for a, binding in enumerate(g.factors):
-        slots = factor_slots(g, a)
-        for sid in slots:
-            if sid not in p.slots:
-                raise ValueError(f"factor {a}: unmapped slot id {sid!r}")
-        us = [
-            p.slots[sid].w_in.T @ values[j] for sid, j in zip(slots, binding.scope)
-        ]
-        loos = _leave_one_out(us, p.rank)
-        for k, (sid, j) in enumerate(zip(slots, binding.scope)):
-            contrib = p.slots[sid].w_out @ loos[k]
-            if not np.all(np.isfinite(contrib)):
-                raise FloatingPointError(
-                    f"non-finite message from factor {a} into node {j}"
-                )
-            agg[j] += contrib
-        records.append(_FactorRecord(binding.scope, slots, us, loos))
+    # overflow shows as the non-finite message below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, binding in enumerate(g.factors):
+            slots = factor_slots(g, a)
+            for sid in slots:
+                if sid not in p.slots:
+                    raise ValueError(f"factor {a}: unmapped slot id {sid!r}")
+            us = [p.slots[sid].w_in.T @ values[j] for sid, j in zip(slots, binding.scope)]
+            loos = _leave_one_out(us, p.rank)
+            for k, (sid, j) in enumerate(zip(slots, binding.scope)):
+                contrib = p.slots[sid].w_out @ loos[k]
+                if not np.all(np.isfinite(contrib)):
+                    raise FloatingPointError(f"non-finite message from factor {a} into node {j}")
+                agg[j] += contrib
+            records.append(_FactorRecord(binding.scope, slots, us, loos))
 
     z = agg @ p.w1.T + p.b1
     r = np.maximum(z, 0.0)

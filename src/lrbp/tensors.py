@@ -220,6 +220,16 @@ def cp_fit_als(
     return factor, final
 
 
+def leave_one_out(x: np.ndarray, axis: int) -> np.ndarray:
+    """out[..., k, ...] = product of x[..., j, ...] over j != k along `axis`,
+    by a prefix and a suffix cumprod: O(n) multiplications, no division."""
+    x = np.moveaxis(x, axis, 0)
+    out = np.ones_like(x)
+    np.cumprod(x[:-1], axis=0, out=out[1:])
+    out[:-1] *= np.cumprod(x[:0:-1], axis=0)[::-1]
+    return np.moveaxis(out, 0, axis)
+
+
 def marginalize_product(t: DenseTensor, incoming, keep: int) -> np.ndarray:
     """Sum out all axes but `keep` after weighting by the incoming messages.
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -298,13 +300,6 @@ class TestRunLBP:
         scaled = run_lbp(g, opts, init=init)
         assert np.max(np.abs(base.beliefs - scaled.beliefs)) < 1e-10
 
-    def test_worker_count_bitwise_invariant(self):
-        rng = np.random.default_rng(63)
-        g = random_tree_graph(rng)
-        a = run_lbp(g, LBPOptions(max_iters=30, tol=1e-12, workers=1))
-        b = run_lbp(g, LBPOptions(max_iters=30, tol=1e-12, workers=4))
-        assert np.array_equal(a.beliefs, b.beliefs)
-
     def test_messages_normalized_and_trace_collected(self):
         rng = np.random.default_rng(64)
         g = random_tree_graph(rng)
@@ -329,6 +324,42 @@ class TestRunLBP:
         with pytest.raises(ZeroMessageError):
             run_lbp(g, LBPOptions(max_iters=50))
 
+    def test_zero_message_names_first_edge_without_runtime_warnings(self):
+        eq = dense(np.eye(2))
+        neq = dense(1.0 - np.eye(2))
+        g = build_graph(2, 2, [FactorBinding((0, 1), eq), FactorBinding((0, 1), neq)],
+                        unary=[[1.0, 0.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ZeroMessageError, match=r"^message 0->0 normalized to zero mass$"):
+                run_lbp(g, LBPOptions(max_iters=50))
+
+    def test_infinite_unary_raises_non_finite_without_runtime_warnings(self):
+        g = build_graph(3, 2, [FactorBinding((0, 1), dense(np.eye(2))),
+                               FactorBinding((1, 2), dense(1.0 - np.eye(2)))],
+                        unary=[[1.0, 1.0], [np.inf, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError,
+                               match=r"^non-finite message \(1, 0\) at iteration 1$"):
+                run_lbp(g)
+
+    def test_mixed_sign_weights_warn_once_per_run(self):
+        w0 = np.array([[1.0, -0.5], [0.5, 1.0]])
+        w1 = np.array([[1.0, 1.0], [0.2, -2.0]])
+        cp = CPFactor(2, 2, 2, (w0, w1))
+        g = build_graph(3, 2, [FactorBinding((0, 1), LowRankPayload("p")),
+                               FactorBinding((1, 2), LowRankPayload("p"))], params={"p": cp})
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            result = run_lbp(g)
+        assert result.iterations_used == 3
+        assert len(records) == 1 and records[0].category is SignViolationWarning
+        # 4 messages in iteration 1 and 3 in each later one; the worst is 0->1's -0.35
+        assert str(records[0].message).startswith(
+            "10 low-rank messages had negative entries (min -3.500e-01, first 0->0)"
+        )
+
     def test_invalid_options_rejected(self):
         g = build_graph(1, 2, [], unary=[[1.0, 1.0]])
         with pytest.raises(ValueError, match="schedule"):
@@ -337,6 +368,89 @@ class TestRunLBP:
             run_lbp(g, LBPOptions(tol=0.0))
         with pytest.raises(ValueError, match="damping"):
             run_lbp(g, LBPOptions(damping=1.0))
+
+
+def random_loopy_graph(seed, d, specs, isolated):
+    """Factors of the given (arity, rank, lowrank) specs over 5 shared
+    variables, plus `isolated` variables of degree 0."""
+    rng = np.random.default_rng(seed)
+    bindings, params = [], {}
+    for a, (arity, rank, lowrank) in enumerate(specs):
+        scope = tuple(int(v) for v in rng.choice(5, size=arity, replace=False))
+        if lowrank:
+            params[f"p{a}"] = cp_random(arity, d, rank, seed=int(rng.integers(1e6)))
+            bindings.append(FactorBinding(scope, LowRankPayload(f"p{a}")))
+        else:
+            bindings.append(FactorBinding(scope, dense(rng.uniform(0.1, 1.0, size=(d,) * arity))))
+    unary = rng.uniform(0.1, 1.0, size=(5 + isolated, d))
+    return build_graph(5 + isolated, d, bindings, unary=unary, params=params)
+
+
+def reference_lbp(g, opts):
+    """Flooding LBP one message at a time through the dict-layout API;
+    returns (beliefs, iterations_used, converged)."""
+    state = init_messages(g)
+    delta, iteration = math.inf, 0
+
+    def damp(new, old):
+        if not opts.damping:
+            return new
+        return {k: (1.0 - opts.damping) * v + opts.damping * old[k] for k, v in new.items()}
+
+    for iteration in range(1, opts.max_iters + 1):
+        v2f = {(i, a): var_to_factor_update(state, g, i, a) for i, a in state.var_to_factor}
+        v2f = damp(v2f, state.var_to_factor)
+        half = MessageState(v2f, state.factor_to_var)
+        f2v = {}
+        for a, i in state.factor_to_var:
+            dense_payload = isinstance(g.factors[a].payload, DensePayload)
+            update = factor_to_var_dense if dense_payload else factor_to_var_lowrank
+            f2v[(a, i)] = update(half, g, a, i)
+        f2v = damp(f2v, state.factor_to_var)
+        delta = max(float(np.max(np.abs(v - old[k])))
+                    for new, old in ((v2f, state.var_to_factor), (f2v, state.factor_to_var))
+                    for k, v in new.items())
+        state = MessageState(v2f, f2v)
+        if delta < opts.tol:
+            break
+    return beliefs_from_messages(g, state), iteration, delta < opts.tol
+
+
+loopy_graphs = dict(
+    seed=st.integers(0, 10**6),
+    d=st.integers(2, 4),
+    specs=st.lists(
+        st.tuples(st.integers(1, 5), st.integers(1, 8), st.booleans()), min_size=1, max_size=7
+    ),
+    isolated=st.integers(0, 2),
+    damping=st.sampled_from([0.0, 0.3]),
+)
+
+
+class TestEdgeLayout:
+    """run_lbp's batched edge-array sweeps against the one-message API."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**loopy_graphs)
+    def test_matches_reference_loop(self, seed, d, specs, isolated, damping):
+        g = random_loopy_graph(seed, d, specs, isolated)
+        opts = LBPOptions(max_iters=40, tol=1e-10, damping=damping)
+        got = run_lbp(g, opts)
+        beliefs, iterations, converged = reference_lbp(g, opts)
+        assert got.iterations_used == iterations and got.converged == converged
+        assert np.max(np.abs(got.beliefs - beliefs)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(**loopy_graphs)
+    def test_factor_order_and_repeat_invariance(self, seed, d, specs, isolated, damping):
+        g = random_loopy_graph(seed, d, specs, isolated)
+        opts = LBPOptions(max_iters=40, tol=1e-10, damping=damping)
+        base = run_lbp(g, opts)
+        assert np.array_equal(run_lbp(g, opts).beliefs, base.beliefs)
+        perm = np.random.default_rng(seed + 1).permutation(len(g.factors))
+        permuted = build_graph(g.num_vars, d, [g.factors[a] for a in perm],
+                               unary=g.unary, params=g.params)
+        assert np.max(np.abs(run_lbp(permuted, opts).beliefs - base.beliefs)) <= 1e-12
 
 
 class TestExactMarginals:

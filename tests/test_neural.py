@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,14 @@ class TestForward:
         p = init_layer_params(graph_slot_ids(g), d_h=2, rank=2)
         with pytest.raises(FloatingPointError):
             lrbp_forward(HiddenStates(np.array([[np.nan, 0.0], [0.0, 0.0]])), g, p)
+
+    def test_overflow_raises_only_floating_point_error(self):
+        g = lowrank_graph(4, [(0, 1, 2), (2, 3)])
+        p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="non-finite message from factor 0"):
+                lrbp_forward(HiddenStates(np.full((4, 4), 1e200)), g, p)
 
     def test_arity_one_factor_contributes_ones_product(self):
         # empty Hadamard set: message = w_out @ ones(R)
