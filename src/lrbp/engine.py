@@ -58,7 +58,6 @@ class LBPOptions:
     max_iters: int = 200
     tol: float = 1e-8
     damping: float = 0.0
-    schedule: str = "flooding"
     collect_trace: bool = False
 
 
@@ -193,8 +192,6 @@ def run_lbp(
     run, with their count, the most negative entry and the first of them.
     """
     opts = opts or LBPOptions()
-    if opts.schedule != "flooding":
-        raise ValueError(f"unsupported schedule {opts.schedule!r}")
     if not opts.tol > 0:
         raise ValueError(f"tol must be positive, got {opts.tol}")
     if not 0.0 <= opts.damping < 1.0:

@@ -7,9 +7,11 @@ and adds the result to the previous state (residual connection). Each
 parameter slot carries a doubled pair of matrices: W_in transforms before the
 Hadamard product, W_out after.
 
-Gradients are hand-derived reverse mode; Hadamard leave-one-out gradients are
-recomputed with prefix/suffix products, never by division. Parameters are
-read-only during a step; all update functions return fresh structures.
+A layer runs on flat edge arrays in the engine's edge order (edge offs[a] + k
+is slot k of factor a), with one matmul per used slot and the shared
+`tensors.leave_one_out` kernel per arity group. Its hand-derived backward takes
+the leave-two-out products from the same kernel, never by division. Parameters
+are read-only during a step; all update functions return fresh structures.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FactorGraph, LowRankPayload
+from .tensors import leave_one_out
 
 
 @dataclass(frozen=True)
@@ -161,24 +164,24 @@ def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
     )
 
 
-def _leave_one_out(vectors: list[np.ndarray], rank: int) -> list[np.ndarray]:
-    """loo[k] = hadamard of all vectors except k; ones(R) for a single slot."""
-    n = len(vectors)
-    prefix = [np.ones(rank)]
-    for v in vectors[:-1]:
-        prefix.append(prefix[-1] * v)
-    suffix = [np.ones(rank)] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = vectors[k] * suffix[k + 1]
-    return [prefix[k] * suffix[k + 1] for k in range(n)]
-
-
-@dataclass
-class _FactorRecord:
-    scope: tuple[int, ...]
-    slots: tuple[str, ...]
-    us: list[np.ndarray]
-    loos: list[np.ndarray]
+def _edges(g: FactorGraph, p: LayerParams):
+    """Edge arrays of `g` (edge offs[a] + k is slot k of factor a): the node and
+    factor of each edge, (slot id, edges) per used slot and (F, n) edges per
+    arity n. Raises on the first slot id that `p` does not map."""
+    var, fac, index, slot = [], [], {}, []
+    for a, binding in enumerate(g.factors):
+        for sid in factor_slots(g, a):
+            if sid not in p.slots:
+                raise ValueError(f"factor {a}: unmapped slot id {sid!r}")
+            slot.append(index.setdefault(sid, len(index)))
+        var.extend(binding.scope)
+        fac.extend([a] * len(binding.scope))
+    var, fac, slot = (np.array(x, dtype=np.intp) for x in (var, fac, slot))
+    slots = [(sid, np.flatnonzero(slot == s)) for sid, s in index.items()]
+    arity = np.bincount(fac, minlength=len(g.factors))
+    offs = np.cumsum(arity) - arity
+    groups = [offs[arity == n, None] + np.arange(n) for n in np.unique(arity)]
+    return var, fac, slots, groups
 
 
 @dataclass
@@ -187,7 +190,9 @@ class Tape:
 
     params: LayerParams
     h_in: np.ndarray
-    records: list[_FactorRecord]
+    edges: tuple  # the layout of _edges
+    u: np.ndarray  # (E, R): W_in^T h of each edge's node
+    loo: np.ndarray  # (E, R): Hadamard product of the other slots' u in its factor
     agg: np.ndarray
     z: np.ndarray  # MLP pre-activations
     r: np.ndarray  # relu(z)
@@ -207,39 +212,41 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("non-finite input hidden states")
 
-    agg = np.zeros_like(values)
-    records = []
+    edges = var, fac, slots, groups = _edges(g, p)
+    u = np.empty((var.size, p.rank))
+    loo = np.empty_like(u)
+    msg = np.empty((var.size, p.d_h))
     # overflow shows as the non-finite message below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, binding in enumerate(g.factors):
-            slots = factor_slots(g, a)
-            for sid in slots:
-                if sid not in p.slots:
-                    raise ValueError(f"factor {a}: unmapped slot id {sid!r}")
-            us = [p.slots[sid].w_in.T @ values[j] for sid, j in zip(slots, binding.scope)]
-            loos = _leave_one_out(us, p.rank)
-            for k, (sid, j) in enumerate(zip(slots, binding.scope)):
-                contrib = p.slots[sid].w_out @ loos[k]
-                if not np.all(np.isfinite(contrib)):
-                    raise FloatingPointError(f"non-finite message from factor {a} into node {j}")
-                agg[j] += contrib
-            records.append(_FactorRecord(binding.scope, slots, us, loos))
+        for sid, e in slots:
+            u[e] = values[var[e]] @ p.slots[sid].w_in
+        for ids in groups:
+            loo[ids] = leave_one_out(u[ids], axis=1)
+        for sid, e in slots:
+            msg[e] = loo[e] @ p.slots[sid].w_out.T
+    bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
+    if bad.size:
+        raise FloatingPointError(
+            f"non-finite message from factor {fac[bad[0]]} into node {var[bad[0]]}"
+        )
+    agg = np.zeros_like(values)
+    np.add.at(agg, var, msg)
 
     z = agg @ p.w1.T + p.b1
     r = np.maximum(z, 0.0)
     out = r @ p.w2.T + p.b2
     new_values = values + out
-    tape = Tape(params=p, h_in=values, records=records, agg=agg, z=z, r=r)
+    tape = Tape(params=p, h_in=values, edges=edges, u=u, loo=loo, agg=agg, z=z, r=r)
     return HiddenStates(new_values, h.t + 1), tape
 
 
 def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
     """Exact reverse-mode gradients of one layer.
 
-    `upstream` is the loss gradient w.r.t. the layer's output states.
-    Hadamard leave-one-out gradients are recomputed via prefix/suffix
-    products over the reduced slot sets (no division by possibly-zero
-    factors). Shared slot ids accumulate across factors.
+    `upstream` is the loss gradient w.r.t. the layer's output states. The
+    gradient of loo_k w.r.t. u_l (l != k) is the product over the slots other
+    than k and l, taken by the same leave-one-out kernel with u_k set to 1
+    (no division by possibly-zero factors). Shared slot ids accumulate.
     """
     p = tape.params
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -248,7 +255,6 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
             f"upstream gradient shape {upstream.shape} != states shape {tape.h_in.shape}"
         )
     grads = {name: np.zeros_like(arr) for name, arr in named_arrays(p).items()}
-    dh = upstream.copy()  # residual path
 
     # MLP backward
     grads["mlp/b2"] += upstream.sum(axis=0)
@@ -258,27 +264,27 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
     grads["mlp/w1"] += dz.T @ tape.agg
     dagg = dz @ p.w1
 
-    for rec in tape.records:
-        n = len(rec.us)
-        dus = [np.zeros(p.rank) for _ in range(n)]
-        for k, (j, sid) in enumerate(zip(rec.scope, rec.slots)):
-            gk = dagg[j]
-            grads[f"slot/{sid}/w_out"] += np.outer(gk, rec.loos[k])
-            if n == 1:
-                continue
-            dloo = p.slots[sid].w_out.T @ gk
-            sub = [rec.us[m] for m in range(n) if m != k]
-            sub_loos = _leave_one_out(sub, p.rank)
-            idx = 0
-            for l in range(n):
-                if l == k:
-                    continue
-                dus[l] += dloo * sub_loos[idx]
-                idx += 1
-        for k, (j, sid) in enumerate(zip(rec.scope, rec.slots)):
-            grads[f"slot/{sid}/w_in"] += np.outer(tape.h_in[j], dus[k])
-            dh[j] += p.slots[sid].w_in @ dus[k]
-
+    var, _, slots, groups = tape.edges
+    dmsg = dagg[var]
+    dloo = np.empty_like(tape.loo)
+    for sid, e in slots:
+        grads[f"slot/{sid}/w_out"] += dmsg[e].T @ tape.loo[e]
+        dloo[e] = dmsg[e] @ p.slots[sid].w_out
+    du = np.empty_like(tape.u)
+    for ids in groups:
+        diag = np.arange(ids.shape[1])
+        # pairs[f, k, l] = product over the slots m != k, l of factor f
+        pairs = np.repeat(tape.u[ids][:, None], diag.size, axis=1)
+        pairs[:, diag, diag] = 1.0
+        pairs = leave_one_out(pairs, axis=2)
+        pairs[:, diag, diag] = 0.0
+        du[ids] = np.einsum("fkr,fklr->flr", dloo[ids], pairs)
+    dh_edge = np.empty_like(dmsg)
+    for sid, e in slots:
+        grads[f"slot/{sid}/w_in"] += tape.h_in[var[e]].T @ du[e]
+        dh_edge[e] = du[e] @ p.slots[sid].w_in.T
+    dh = upstream.copy()  # residual path
+    np.add.at(dh, var, dh_edge)
     return GradientBundle(grads, dh)
 
 
@@ -340,12 +346,8 @@ def grad_check(
     h0 = HiddenStates(rng.standard_normal((g.num_vars, p.d_h)))
 
     def output_and_masks():
-        cur = h0
-        masks = []
-        for _ in range(layers):
-            cur, tape = lrbp_forward(cur, g, p)
-            masks.append(tape.z > 0)
-        return cur.values, masks
+        out, tapes = forward_stack(h0, g, p, layers)
+        return out.values, [t.z > 0 for t in tapes]
 
     h_t, tapes = forward_stack(h0, g, p, layers)
     bundle = backward_stack(tapes, 2.0 * h_t.values)
@@ -458,7 +460,7 @@ def train_step(
             h_t, tapes = forward_stack(h0, g, p, layers)
         except FloatingPointError:
             return p, opt_state, float("nan")
-        mean = h_t.values.mean(axis=0)
+        mean = node_mean(h_t.values)  # the reduction readout() uses
         pred = p.w_ro @ mean + p.b_ro
         resid = pred - target
         total_loss += float(np.mean(np.abs(resid)))

@@ -5,7 +5,7 @@ one d x R weight matrix per variable slot and represents the table
 T(i_1..i_m) = sum_r prod_j W_j[i_j, r]. Rank-1 scale coefficients are always
 absorbed into the weights, so there is no separate scale vector.
 
-All values are immutable after construction and safe to share across workers.
+All values are immutable after construction.
 """
 from __future__ import annotations
 

@@ -362,8 +362,6 @@ class TestRunLBP:
 
     def test_invalid_options_rejected(self):
         g = build_graph(1, 2, [], unary=[[1.0, 1.0]])
-        with pytest.raises(ValueError, match="schedule"):
-            run_lbp(g, LBPOptions(schedule="sequential"))
         with pytest.raises(ValueError, match="tol"):
             run_lbp(g, LBPOptions(tol=0.0))
         with pytest.raises(ValueError, match="damping"):

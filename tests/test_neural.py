@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrbp.graph import FactorBinding, LowRankPayload, build_graph
 from lrbp.neural import (
@@ -143,6 +145,40 @@ class TestForward:
         out_p, _ = lrbp_forward(HiddenStates(h_p), g_p, p)
         assert np.array_equal(out_p.values[perm], out.values)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        arities=st.lists(st.integers(1, 6), max_size=7),
+        num_slot_ids=st.integers(1, 5),
+        isolated=st.integers(0, 2),
+        rank=st.integers(1, 4),
+    )
+    def test_matches_reference_loop(self, seed, arities, num_slot_ids, isolated, rank):
+        # factors over 6 shared nodes plus `isolated` nodes of degree 0; slot
+        # ids come from a small pool, so they repeat within and across factors
+        rng = np.random.default_rng(seed)
+        scopes = [tuple(rng.choice(6, size=n, replace=False)) for n in arities]
+        slot_lists = [[f"s{k}" for k in rng.integers(num_slot_ids, size=n)] for n in arities]
+        g = lowrank_graph(6 + isolated, scopes, slot_lists=slot_lists)
+        p = init_layer_params([f"s{k}" for k in range(num_slot_ids)], d_h=3, rank=rank, seed=seed)
+        h = rng.standard_normal((6 + isolated, 3))
+
+        expected = np.zeros_like(h)
+        for a, binding in enumerate(g.factors):
+            slots = factor_slots(g, a)
+            us = [p.slots[sid].w_in.T @ h[j] for sid, j in zip(slots, binding.scope)]
+            for k, (sid, j) in enumerate(zip(slots, binding.scope)):
+                others = np.array([us[m] for m in range(len(us)) if m != k]).reshape(-1, rank)
+                expected[j] += p.slots[sid].w_out @ np.prod(others, axis=0)
+        out, tape = lrbp_forward(HiddenStates(h), g, p)
+        assert np.max(np.abs(tape.agg - expected), initial=0.0) <= 1e-12
+
+        perm = rng.permutation(len(scopes))
+        g_p = lowrank_graph(6 + isolated, [scopes[a] for a in perm],
+                            slot_lists=[slot_lists[a] for a in perm])
+        out_p, _ = lrbp_forward(HiddenStates(h), g_p, p)
+        assert np.max(np.abs(out_p.values - out.values)) <= 1e-12
+
 
 def fd_loss_grads(loss_fn, p, eps=1e-6):
     """Central finite differences of loss_fn() w.r.t. every parameter entry."""
@@ -268,14 +304,24 @@ class TestBackward:
             lrbp_backward(tape, np.zeros((2, 2)))
 
 
+def high_arity_graph():
+    """Factors of arity 1 to 6, slot id "d" repeated within one factor, and
+    node 7 of degree 0."""
+    scopes = [(0,), (1, 2), (2, 3, 4), (0, 3, 5, 6), (1, 2, 4, 5, 6), (0, 1, 3, 4, 5, 6)]
+    slot_lists = [("a",), ("b", "c"), ("d", "d", "e"), ("f", "g", "h", "i"),
+                  ("j", "k", "l", "m", "n"), ("o", "p", "q", "r", "s", "t")]
+    return lowrank_graph(8, scopes, slot_lists=slot_lists)
+
+
 class TestGradCheck:
-    def make_case(self, seed):
-        g = lowrank_graph(5, [(0, 1, 2), (2, 3, 4), (0, 4)])
+    def make_case(self, seed, graph=None):
+        g = graph or lowrank_graph(5, [(0, 1, 2), (2, 3, 4), (0, 4)])
         p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, seed=seed)
         return g, p
 
-    def test_default_seeded_stack(self):
-        g, p = self.make_case(0)
+    @pytest.mark.parametrize("graph", [None, high_arity_graph()], ids=["arity-2-3", "arity-1-6"])
+    def test_default_seeded_stack(self, graph):
+        g, p = self.make_case(0, graph)
         result = grad_check(g, p, seed=0, eps=1e-5, layers=3)
         assert result.max_relative_error < 1e-4, result.worst_param
 
@@ -373,6 +419,19 @@ class TestTrainStep:
         assert np.isfinite(loss)
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(new_p)[name], arr)
+
+    def test_loss_is_the_inference_readout_bitwise(self):
+        # on this graph and init seed, a plain mean(axis=0) of the final
+        # states differs from node_mean in the last bit
+        rng = np.random.default_rng(0)
+        scopes = [tuple(rng.choice(40, size=n, replace=False)) for n in rng.integers(2, 5, size=30)]
+        g = lowrank_graph(40, scopes)
+        h0 = HiddenStates(rng.standard_normal((40, 4)))
+        target = np.array([0.3])
+        p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, seed=0)
+        _, _, loss = train_step([(g, h0, target)], p, None, lr=1e-3)
+        h_t, _ = forward_stack(h0, g, p, layers=3)
+        assert loss == float(np.mean(np.abs(readout(h_t, p) - target)))
 
     def test_train_grads_match_fd(self):
         g, p, h0 = self.make_sample(seed=2)
