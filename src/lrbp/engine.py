@@ -6,13 +6,13 @@ variable-to-factor messages from the previous factor-to-variable buffer,
 then all factor-to-variable messages from the fresh variable-to-factor
 buffer. Every message is L1-normalized as it is produced.
 
-`run_lbp` keeps each message family in one (E, d) array; edge e = offs[a] + k
-is slot k of factor a. Low-rank factors are grouped by (arity n, rank R): a
-group projects its rows through its (F, n, d, R) weights, takes the
-leave-one-out Hadamard product over the slot axis and maps back, O(n * d * R)
-per factor. Dense factors are marginalized one at a time, O(n * d**n) per
-message. Variables are bucketed by degree D: a bucket takes the leave-one-out
-product of its (V, D, d) rows times the unary, O(D * d) per variable.
+`run_lbp` keeps each message family in one (E, d) array over `g.layout`, in
+the edge order that `lrbp.graph` defines. Low-rank factors are grouped by
+(arity n, rank R): a group projects its rows through its (F, n, d, R) weights,
+takes the leave-one-out Hadamard product over the slot axis and maps back,
+O(n * d * R) per factor. Dense factors are marginalized one at a time,
+O(n * d**n) per message. Variables are bucketed by degree D: a bucket takes the
+leave-one-out product of its (V, D, d) rows times the unary, O(D * d) each.
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ def _normalize(raw: np.ndarray, what: str, *keys) -> np.ndarray:
 def init_messages(g: FactorGraph) -> MessageState:
     """Uniform 1/d start for both message families."""
     uniform = np.full(g.cardinality, 1.0 / g.cardinality)
-    edges = [(i, a) for a, binding in enumerate(g.factors) for i in binding.scope]
+    edges = list(zip(g.layout.var.tolist(), g.layout.fac.tolist()))
     return MessageState({(i, a): uniform.copy() for i, a in edges},
                         {(a, i): uniform.copy() for i, a in edges})
 
@@ -142,49 +142,32 @@ def beliefs_from_messages(g: FactorGraph, state: MessageState) -> np.ndarray:
     return _normalize(out, "belief of variable {}", range(g.num_vars))
 
 
-def _layout(g: FactorGraph):
-    """Edge arrays of `g`: the variable, factor and low-rank flag of each edge;
-    ((F, n) edges, (F, n, d, R) weights) per low-rank group; (first edge,
-    table) per dense factor; ((V,) variables, (V, D) edges) per degree D."""
-    arity = np.array([len(b.scope) for b in g.factors], dtype=np.intp)
-    offs = np.cumsum(arity) - arity
-    var = np.array([v for b in g.factors for v in b.scope], dtype=np.intp)
-    lowrank = np.repeat(np.array([not isinstance(b.payload, DensePayload) for b in g.factors],
-                                 dtype=bool), arity)
-    members: dict[tuple[int, int], tuple[list, list]] = {}
-    dense = []
-    for a, b in enumerate(g.factors):
-        if isinstance(b.payload, DensePayload):
-            dense.append((offs[a], b.payload.tensor))
-        else:
-            cp = factor_cp(g, a)
-            ids, ws = members.setdefault((cp.arity, cp.rank), ([], []))
-            ids.append(a)
-            ws.extend(cp.weights)
-    groups = [(offs[ids, None] + np.arange(n), np.concatenate(ws).reshape(len(ids), n, -1, r))
-              for (n, r), (ids, ws) in members.items()]
-    # stable, so each variable's edges stay in factor order, as in g.var_adjacency
-    order = np.argsort(var, kind="stable")
-    deg = np.bincount(var, minlength=g.num_vars)
-    first = np.cumsum(deg) - deg
-    buckets = []
-    for size in np.unique(deg):
-        vs = np.flatnonzero(deg == size)
-        buckets.append((vs, order[first[vs, None] + np.arange(size)]))
-    return var, np.repeat(np.arange(arity.size), arity), lowrank, groups, dense, buckets
+def _factor_groups(g: FactorGraph):
+    """The parts of a solve that read `g.params`, from the layout's arity
+    groups: ((F, n) edges, (F, n, d, R) weights) per low-rank (arity, rank)
+    group and (first edge, table) per dense factor."""
+    groups, dense = [], []
+    for ids, edges in g.layout.arities:
+        payloads = [g.factors[a].payload for a in ids.tolist()]
+        dense += [(e, p.tensor) for e, p in zip(g.layout.offs[ids].tolist(), payloads)
+                  if isinstance(p, DensePayload)]
+        lowrank = [k for k, p in enumerate(payloads) if not isinstance(p, DensePayload)]
+        cps = [g.params[payloads[k].param_id] for k in lowrank]
+        ranks = np.array([cp.rank for cp in cps], dtype=np.intp)
+        for r in np.unique(ranks):
+            sel = np.flatnonzero(ranks == r)
+            ws = np.array([w for f in sel.tolist() for w in cps[f].weights])
+            groups.append((edges[lowrank][sel], ws.reshape(sel.size, -1, g.cardinality, r)))
+    return groups, dense
 
 
-def run_lbp(
-    g: FactorGraph,
-    opts: LBPOptions | None = None,
-    init: MessageState | None = None,
-) -> BeliefSet:
+def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     """Run synchronous-flooding sum-product LBP until the max-norm message
     change drops below opts.tol or opts.max_iters is reached.
 
     Low-rank payloads always take the low-rank path. Optional damping blends
     each new message with its previous value (damping 0 reproduces the
-    undamped update bit for bit). `init` overrides the uniform start.
+    undamped update bit for bit). Messages start uniform.
 
     A zero-mass message raises ZeroMessageError, naming the first in edge
     order; a non-finite one raises FloatingPointError. Low-rank messages with
@@ -197,14 +180,11 @@ def run_lbp(
     if not 0.0 <= opts.damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {opts.damping}")
 
-    var, fac, lowrank, groups, dense, buckets = _layout(g)
-    var, fac, d = var.tolist(), fac.tolist(), g.cardinality
+    groups, dense = _factor_groups(g)
+    buckets = g.layout.buckets
+    var, fac, d = g.layout.var.tolist(), g.layout.fac.tolist(), g.cardinality
     unary = g.unary if g.unary is not None else np.ones((g.num_vars, d))
-    if init is None:
-        v2f = f2v = np.full((len(var), d), 1.0 / d)  # never written in place
-    else:
-        v2f = np.array([init.var_to_factor[k] for k in zip(var, fac)], dtype=float).reshape(-1, d)
-        f2v = np.array([init.factor_to_var[k] for k in zip(fac, var)], dtype=float).reshape(-1, d)
+    v2f = f2v = np.full((len(var), d), 1.0 / d)  # never written in place
     trace: list[tuple[int, float]] = []
     delta = math.inf
     iteration = 0
@@ -218,16 +198,16 @@ def run_lbp(
             new_v2f = _normalize(raw, "message {}->{}", var, fac)
             if opts.damping:
                 new_v2f = (1.0 - opts.damping) * new_v2f + opts.damping * v2f
-            raw = np.empty_like(new_v2f)
+            raw = np.zeros_like(new_v2f)
             for edges, w in groups:
                 raw[edges] = _lowrank_messages(w, new_v2f[edges])
+            bad = np.flatnonzero((raw < NEGATIVE_TOL).any(axis=1))  # dense rows are still 0
+            if bad.size:
+                negative.append((bad[0], bad.size, raw[bad].min()))
             for e0, table in dense:
                 rows = list(new_v2f[e0:e0 + table.order])
                 for k in range(table.order):
                     raw[e0 + k] = marginalize_product(table, rows, keep=k)
-            bad = np.flatnonzero(lowrank & (raw < NEGATIVE_TOL).any(axis=1))
-            if bad.size:
-                negative.append((bad[0], bad.size, raw[bad].min()))
             new_f2v = _normalize(raw, "message {}->{}", fac, var)
             if opts.damping:
                 new_f2v = (1.0 - opts.damping) * new_f2v + opts.damping * f2v

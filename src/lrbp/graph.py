@@ -4,12 +4,20 @@ Factor scopes are ordered: the k-th scope position binds the k-th weight
 matrix of a low-rank payload. Low-rank payloads live in a parameter table
 keyed by id and may be shared across factors. Graphs are immutable after
 build and safe for concurrent read.
+
+Edge order: edge offs[a] + k is slot k of factor a, joining it to variable
+scope[k]. LBP and the neural layer keep one message per edge in this order.
+`FactorGraph.layout` holds the edge arrays and `FactorGraph.slots` the
+neural layer's slot index. Each is built on first use, once per graph,
+deterministically from the frozen factors only, so concurrent first reads
+are safe: at worst two threads build equal copies.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +73,73 @@ class FactorGraph:
     params: dict[str, CPFactor]
     var_adjacency: tuple[tuple[int, ...], ...]
     unary: np.ndarray | None  # (num_vars, d) or None (treated as all-ones)
+
+    @cached_property
+    def layout(self) -> EdgeLayout:
+        """The edge arrays of this graph, built on first use."""
+        arity = np.array([len(b.scope) for b in self.factors], dtype=np.intp)
+        var = np.array([v for b in self.factors for v in b.scope], dtype=np.intp)
+        return EdgeLayout(
+            var=_read_only(var),
+            fac=_read_only(np.repeat(np.arange(arity.size), arity)),
+            offs=_read_only(np.cumsum(arity) - arity),
+            arities=_groups_by_size(arity, np.arange(var.size)),
+            # a stable sort keeps each variable's edges in factor order
+            buckets=_groups_by_size(np.bincount(var, minlength=self.num_vars),
+                                    np.argsort(var, kind="stable")),
+        )
+
+    @cached_property
+    def slots(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(slot id, edges) per slot id in first-appearance order: the per-edge
+        slot index of the neural layer, built when it first asks. Kept apart
+        from `layout`, so that listing the slot ids builds no edge arrays.
+        Raises as `factor_slots` does."""
+        index: dict[str, int] = {}
+        slot = np.array([index.setdefault(sid, len(index)) for a in range(len(self.factors))
+                         for sid in factor_slots(self, a)], dtype=np.intp)
+        order = _read_only(np.argsort(slot, kind="stable"))  # so its per-slot views are too
+        return tuple(zip(index, np.split(order, np.cumsum(np.bincount(slot))[:-1])))
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeLayout:
+    """The edges of one graph, in the edge order of the module docstring.
+    Every array is read-only, since all calls on the graph share them."""
+
+    var: np.ndarray  # (E,) variable of each edge
+    fac: np.ndarray  # (E,) factor of each edge
+    offs: np.ndarray  # (F,) first edge of each factor
+    arities: tuple  # ((F_n,) factors, (F_n, n) edges) per arity n
+    buckets: tuple  # ((V,) variables, (V, D) edges) per degree D, each row in factor order
+
+
+def _groups_by_size(sizes: np.ndarray, edges: np.ndarray) -> tuple:
+    """((G,) items, (G, n) edges) per distinct size n; item i owns the next
+    sizes[i] entries of `edges`."""
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for n in np.unique(sizes):
+        ids = np.flatnonzero(sizes == n)
+        groups.append((_read_only(ids), _read_only(edges[starts[ids, None] + np.arange(n)])))
+    return tuple(groups)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+def factor_slots(g: FactorGraph, a: int) -> tuple[str, ...]:
+    """Slot ids of factor a: explicit slot_ids, else `param_id/k` for scope
+    position k. A dense factor without slot_ids has no slots and raises."""
+    binding = g.factors[a]
+    if binding.slot_ids is not None:
+        return binding.slot_ids
+    if not isinstance(binding.payload, LowRankPayload):
+        raise ValueError(f"factor {a} has no low-rank payload; cannot derive slots")
+    pid = binding.payload.param_id
+    return tuple(f"{pid}/{k}" for k in range(len(binding.scope)))
 
 
 def build_graph(

@@ -7,8 +7,8 @@ and adds the result to the previous state (residual connection). Each
 parameter slot carries a doubled pair of matrices: W_in transforms before the
 Hadamard product, W_out after.
 
-A layer runs on flat edge arrays in the engine's edge order (edge offs[a] + k
-is slot k of factor a), with one matmul per used slot and the shared
+A layer runs on the graph's edge arrays (`g.layout`, in the edge order that
+`lrbp.graph` defines), with one matmul per used slot and the shared
 `tensors.leave_one_out` kernel per arity group. Its hand-derived backward takes
 the leave-two-out products from the same kernel, never by division. Parameters
 are read-only during a step; all update functions return fresh structures.
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import FactorGraph, LowRankPayload
+# factor_slots is re-exported: callers look the slot rule up here
+from .graph import FactorGraph, factor_slots  # noqa: F401
 from .tensors import leave_one_out
 
 
@@ -67,24 +68,9 @@ class GradientBundle:
     input_states: np.ndarray
 
 
-def factor_slots(g: FactorGraph, a: int) -> tuple[str, ...]:
-    """Slot ids of factor a: explicit slot_ids, else derived from param_id."""
-    binding = g.factors[a]
-    if binding.slot_ids is not None:
-        return binding.slot_ids
-    if not isinstance(binding.payload, LowRankPayload):
-        raise ValueError(f"factor {a} has no low-rank payload; cannot derive slots")
-    pid = binding.payload.param_id
-    return tuple(f"{pid}/{k}" for k in range(len(binding.scope)))
-
-
 def graph_slot_ids(g: FactorGraph) -> list[str]:
     """All slot ids of a graph in first-appearance order, deduplicated."""
-    seen: dict[str, None] = {}
-    for a in range(len(g.factors)):
-        for sid in factor_slots(g, a):
-            seen.setdefault(sid)
-    return list(seen)
+    return [sid for sid, _ in g.slots]
 
 
 def init_layer_params(
@@ -164,33 +150,13 @@ def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
     )
 
 
-def _edges(g: FactorGraph, p: LayerParams):
-    """Edge arrays of `g` (edge offs[a] + k is slot k of factor a): the node and
-    factor of each edge, (slot id, edges) per used slot and (F, n) edges per
-    arity n. Raises on the first slot id that `p` does not map."""
-    var, fac, index, slot = [], [], {}, []
-    for a, binding in enumerate(g.factors):
-        for sid in factor_slots(g, a):
-            if sid not in p.slots:
-                raise ValueError(f"factor {a}: unmapped slot id {sid!r}")
-            slot.append(index.setdefault(sid, len(index)))
-        var.extend(binding.scope)
-        fac.extend([a] * len(binding.scope))
-    var, fac, slot = (np.array(x, dtype=np.intp) for x in (var, fac, slot))
-    slots = [(sid, np.flatnonzero(slot == s)) for sid, s in index.items()]
-    arity = np.bincount(fac, minlength=len(g.factors))
-    offs = np.cumsum(arity) - arity
-    groups = [offs[arity == n, None] + np.arange(n) for n in np.unique(arity)]
-    return var, fac, slots, groups
-
-
 @dataclass
 class Tape:
     """Forward intermediates needed by the hand-derived backward pass."""
 
     params: LayerParams
     h_in: np.ndarray
-    edges: tuple  # the layout of _edges
+    graph: FactorGraph  # its layout and slots index the edge arrays below
     u: np.ndarray  # (E, R): W_in^T h of each edge's node
     loo: np.ndarray  # (E, R): Hadamard product of the other slots' u in its factor
     agg: np.ndarray
@@ -212,22 +178,26 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("non-finite input hidden states")
 
-    edges = var, fac, slots, groups = _edges(g, p)
+    lay = g.layout
+    for sid, e in g.slots:  # first-appearance order, so the first bad edge raises
+        if sid not in p.slots:
+            raise ValueError(f"factor {lay.fac[e[0]]}: unmapped slot id {sid!r}")
+    var = lay.var
     u = np.empty((var.size, p.rank))
     loo = np.empty_like(u)
     msg = np.empty((var.size, p.d_h))
     # overflow shows as the non-finite message below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for sid, e in slots:
+        for sid, e in g.slots:
             u[e] = values[var[e]] @ p.slots[sid].w_in
-        for ids in groups:
+        for _, ids in lay.arities:
             loo[ids] = leave_one_out(u[ids], axis=1)
-        for sid, e in slots:
+        for sid, e in g.slots:
             msg[e] = loo[e] @ p.slots[sid].w_out.T
     bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
     if bad.size:
         raise FloatingPointError(
-            f"non-finite message from factor {fac[bad[0]]} into node {var[bad[0]]}"
+            f"non-finite message from factor {lay.fac[bad[0]]} into node {var[bad[0]]}"
         )
     agg = np.zeros_like(values)
     np.add.at(agg, var, msg)
@@ -236,7 +206,7 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     r = np.maximum(z, 0.0)
     out = r @ p.w2.T + p.b2
     new_values = values + out
-    tape = Tape(params=p, h_in=values, edges=edges, u=u, loo=loo, agg=agg, z=z, r=r)
+    tape = Tape(params=p, h_in=values, graph=g, u=u, loo=loo, agg=agg, z=z, r=r)
     return HiddenStates(new_values, h.t + 1), tape
 
 
@@ -264,14 +234,15 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
     grads["mlp/w1"] += dz.T @ tape.agg
     dagg = dz @ p.w1
 
-    var, _, slots, groups = tape.edges
+    g = tape.graph
+    var = g.layout.var
     dmsg = dagg[var]
     dloo = np.empty_like(tape.loo)
-    for sid, e in slots:
+    for sid, e in g.slots:
         grads[f"slot/{sid}/w_out"] += dmsg[e].T @ tape.loo[e]
         dloo[e] = dmsg[e] @ p.slots[sid].w_out
     du = np.empty_like(tape.u)
-    for ids in groups:
+    for _, ids in g.layout.arities:
         diag = np.arange(ids.shape[1])
         # pairs[f, k, l] = product over the slots m != k, l of factor f
         pairs = np.repeat(tape.u[ids][:, None], diag.size, axis=1)
@@ -280,7 +251,7 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
         pairs[:, diag, diag] = 0.0
         du[ids] = np.einsum("fkr,fklr->flr", dloo[ids], pairs)
     dh_edge = np.empty_like(dmsg)
-    for sid, e in slots:
+    for sid, e in g.slots:
         grads[f"slot/{sid}/w_in"] += tape.h_in[var[e]].T @ du[e]
         dh_edge[e] = du[e] @ p.slots[sid].w_in.T
     dh = upstream.copy()  # residual path
@@ -449,8 +420,11 @@ def train_step(
     the step with parameters unchanged and returns the optimizer state it was
     given. A `FloatingPointError` from the forward pass of any graph (a
     non-finite message or input) counts as a non-finite loss: the loss is
-    NaN. Returns (params, opt_state, loss).
+    NaN. An empty batch, or a graph without nodes, raises ValueError before
+    any forward pass. Returns (params, opt_state, loss).
     """
+    if not batch or any(g.num_vars == 0 for g, _, _ in batch):
+        raise ValueError("train_step needs a non-empty batch of non-empty graphs")
     named = named_arrays(p)
     grads = {k: np.zeros_like(a) for k, a in named.items()}
     total_loss = 0.0

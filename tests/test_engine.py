@@ -289,17 +289,6 @@ class TestRunLBP:
         assert a.converged
         np.testing.assert_allclose(a.beliefs, b.beliefs, atol=1e-8)
 
-    def test_initial_message_scaling_washes_out(self):
-        rng = np.random.default_rng(62)
-        g = random_tree_graph(rng)
-        opts = LBPOptions(max_iters=300, tol=1e-13)
-        base = run_lbp(g, opts)
-        init = init_messages(g)
-        key = next(iter(init.factor_to_var))
-        init.factor_to_var[key] = init.factor_to_var[key] * 10.0
-        scaled = run_lbp(g, opts, init=init)
-        assert np.max(np.abs(base.beliefs - scaled.beliefs)) < 1e-10
-
     def test_messages_normalized_and_trace_collected(self):
         rng = np.random.default_rng(64)
         g = random_tree_graph(rng)
@@ -449,6 +438,37 @@ class TestEdgeLayout:
         permuted = build_graph(g.num_vars, d, [g.factors[a] for a in perm],
                                unary=g.unary, params=g.params)
         assert np.max(np.abs(run_lbp(permuted, opts).beliefs - base.beliefs)) <= 1e-12
+        # relabel variable v as vperm[v]: the degree buckets are keyed by label
+        vperm = np.random.default_rng(seed + 2).permutation(g.num_vars)
+        unary = np.empty_like(g.unary)
+        unary[vperm] = g.unary
+        relabelled = build_graph(g.num_vars, d, [
+            FactorBinding(tuple(int(vperm[v]) for v in b.scope), b.payload) for b in g.factors
+        ], unary=unary, params=g.params)
+        got = run_lbp(relabelled, opts)
+        assert got.iterations_used == base.iterations_used
+        assert np.max(np.abs(got.beliefs[vperm] - base.beliefs)) <= 1e-12
+
+    def test_layout_built_once_and_read_only(self, monkeypatch):
+        from lrbp import graph
+        from lrbp.neural import HiddenStates, forward_stack, graph_slot_ids, init_layer_params
+
+        builds, layout_type = [], graph.EdgeLayout
+
+        def counting(**fields):
+            builds.append(1)
+            return layout_type(**fields)
+
+        monkeypatch.setattr(graph, "EdgeLayout", counting)
+        g = random_loopy_graph(3, 3, [(2, 2, True), (3, 4, True), (4, 1, True)], isolated=1)
+        run_lbp(g)
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2)
+        _, tapes = forward_stack(HiddenStates(np.ones((g.num_vars, 3))), g, p, layers=3)
+        assert len(builds) == 1 and all(t.graph is g for t in tapes)
+        lay = g.layout
+        arrays = [lay.var, lay.fac, lay.offs, *(x for group in lay.arities + lay.buckets
+                                                for x in group), *(e for _, e in g.slots)]
+        assert not any(x.flags.writeable for x in arrays)
 
 
 class TestExactMarginals:

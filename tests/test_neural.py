@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrbp.graph import FactorBinding, LowRankPayload, build_graph
+from lrbp import neural
+from lrbp.engine import _lowrank_messages
+from lrbp.graph import FactorBinding, LowRankPayload, build_graph, factor_cp
 from lrbp.neural import (
     GradientBundle,
     HiddenStates,
@@ -106,6 +109,10 @@ class TestForward:
         h = HiddenStates(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="unmapped slot id 'sb'"):
             lrbp_forward(h, g, p)
+        # the first unmapped edge in edge order is named, not the first id in sorted order
+        g = lowrank_graph(3, [(0, 1), (1, 2)], slot_lists=[("sa", "zz"), ("yy", "sa")])
+        with pytest.raises(ValueError, match="factor 0: unmapped slot id 'zz'"):
+            lrbp_forward(HiddenStates(np.zeros((3, 2))), g, p)
 
     def test_non_finite_input_rejected(self):
         g = lowrank_graph(2, [(0, 1)])
@@ -144,6 +151,24 @@ class TestForward:
         out, _ = lrbp_forward(HiddenStates(h), g, p)
         out_p, _ = lrbp_forward(HiddenStates(h_p), g_p, p)
         assert np.array_equal(out_p.values[perm], out.values)
+
+    def test_layer_is_the_lowrank_lbp_update(self):
+        # with d_h = d, W_in = W_out = the CP weights of each slot and the
+        # node states as incoming messages, a node's aggregate is the sum of
+        # the unnormalized low-rank factor-to-variable messages into it
+        rng = np.random.default_rng(21)
+        scopes = [tuple(rng.choice(6, size=n, replace=False)) for n in (2, 3, 4, 2, 4, 3)]
+        g = lowrank_graph(6, scopes, d=3, rank=4, seed=22)
+        slots = {sid: SlotPair(w, w) for a in range(len(scopes))
+                 for sid, w in zip(factor_slots(g, a), factor_cp(g, a).weights)}
+        p = dataclasses.replace(init_layer_params(slots, d_h=3, rank=4), slots=slots)
+        h = rng.uniform(0.1, 1.0, size=(6, 3))
+        _, tape = lrbp_forward(HiddenStates(h), g, p)
+        expected = np.zeros_like(h)
+        for a, scope in enumerate(scopes):
+            w = np.array(factor_cp(g, a).weights)
+            np.add.at(expected, list(scope), _lowrank_messages(w[None], h[list(scope)][None])[0])
+        assert np.max(np.abs(tape.agg - expected)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -481,6 +506,22 @@ class TestTrainStep:
         assert not np.isfinite(loss)
         for name, arr in named_arrays(new_p).items():
             assert np.array_equal(arr, before[name])
+
+    def test_empty_batch_rejected(self):
+        _, p, _ = self.make_sample()
+        with pytest.raises(ValueError, match="non-empty batch"):
+            train_step([], p, None)
+
+    def test_empty_graph_rejected_before_any_forward_pass(self, monkeypatch):
+        g, p, h0 = self.make_sample()
+        empty = (build_graph(0, 2, []), HiddenStates(np.zeros((0, 4))), np.array([1.0]))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr(neural, "forward_stack", no_forward)
+        with pytest.raises(ValueError, match="non-empty graphs"):
+            train_step([(g, h0, np.array([1.0])), empty], p, None)
 
     def test_overflow_in_later_graph_aborts_whole_batch(self):
         # grads from the finite first graph are already accumulated when the
