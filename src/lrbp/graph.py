@@ -198,7 +198,10 @@ def build_graph(
 
     unary_arr = None
     if unary is not None:
-        unary_arr = np.ascontiguousarray(unary, dtype=np.float64)
+        try:
+            unary_arr = np.ascontiguousarray(unary, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"unary: {exc}") from exc
         if unary_arr.shape != (num_vars, cardinality):
             raise GraphError(
                 f"unary has shape {unary_arr.shape}, expected {(num_vars, cardinality)}"
@@ -310,9 +313,14 @@ def save_graph(g: FactorGraph, path) -> None:
 
 
 def load_graph(path) -> FactorGraph:
-    """Load a graph JSON document written by save_graph (or by hand)."""
+    """Load a graph JSON document written by save_graph (or by hand).
+
+    A malformed document raises GraphError naming the field, param or
+    factor at fault."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise GraphError(f"graph file holds a JSON {type(doc).__name__}, expected an object")
     try:
         num_vars = int(doc["num_vars"])
         cardinality = int(doc["cardinality"])
@@ -320,6 +328,10 @@ def load_graph(path) -> FactorGraph:
         raw_params = doc.get("params") or {}
     except KeyError as exc:
         raise GraphError(f"graph file missing required field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"graph file: num_vars and cardinality must be integers: {exc}") from exc
+    if not isinstance(raw_factors, list) or not isinstance(raw_params, dict):
+        raise GraphError("graph file: factors must be a list and params an object")
 
     params = {}
     for pid, spec in raw_params.items():
@@ -330,7 +342,7 @@ def load_graph(path) -> FactorGraph:
                 rank=int(spec["rank"]),
                 weights=tuple(np.asarray(w, dtype=np.float64) for w in spec["weights"]),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"param {pid!r}: {exc}") from exc
 
     bindings = []
@@ -339,28 +351,23 @@ def load_graph(path) -> FactorGraph:
             scope = tuple(int(v) for v in spec["scope"])
             payload_spec = spec["payload"]
             kind = payload_spec["kind"]
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"factor {a}: malformed entry, missing {exc}") from exc
-        if kind == "dense":
-            try:
-                tensor = DenseTensor(
+            if kind == "dense":
+                payload = DensePayload(DenseTensor(
                     tuple(int(s) for s in payload_spec["shape"]),
                     np.asarray(payload_spec["data"], dtype=np.float64),
-                )
-            except (KeyError, ValueError) as exc:
-                raise GraphError(f"factor {a}: bad dense payload: {exc}") from exc
-            payload = DensePayload(tensor)
-        elif kind == "lowrank":
-            try:
+                ))
+            elif kind == "lowrank":
                 payload = LowRankPayload(str(payload_spec["param_id"]))
-            except KeyError as exc:
-                raise GraphError(f"factor {a}: lowrank payload missing {exc}") from exc
-        else:
-            raise GraphError(f"factor {a}: unknown payload kind {kind!r}")
-        slots = spec.get("slots")
-        bindings.append(
-            FactorBinding(scope, payload, tuple(slots) if slots is not None else None)
-        )
+            else:
+                raise ValueError(f"unknown payload kind {kind!r}")
+            slots = spec.get("slots")
+            bindings.append(
+                FactorBinding(scope, payload, tuple(slots) if slots is not None else None)
+            )
+        except KeyError as exc:
+            raise GraphError(f"factor {a}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"factor {a}: {exc}") from exc
 
     unary = doc.get("unary")
     return build_graph(num_vars, cardinality, bindings, unary=unary, params=params)

@@ -12,6 +12,7 @@ from lrbp.engine import (
     MessageState,
     SignViolationWarning,
     ZeroMessageError,
+    _dense_messages,
     beliefs_from_messages,
     exact_marginals,
     factor_to_var_dense,
@@ -21,7 +22,7 @@ from lrbp.engine import (
     var_to_factor_update,
 )
 from lrbp.graph import DensePayload, FactorBinding, LowRankPayload, build_graph
-from lrbp.tensors import CPFactor, DenseTensor, cp_expand, cp_random
+from lrbp.tensors import CPFactor, DenseTensor, cp_expand, cp_random, marginalize_product
 
 
 def dense(arr):
@@ -469,6 +470,52 @@ class TestEdgeLayout:
         arrays = [lay.var, lay.fac, lay.offs, *(x for group in lay.arities + lay.buckets
                                                 for x in group), *(e for _, e in g.slots)]
         assert not any(x.flags.writeable for x in arrays)
+
+
+class TestDenseMessages:
+    """run_lbp's dense kernel against `marginalize_product`, the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arity=st.integers(1, 7),
+        d=st.integers(2, 4),
+        zeros=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_marginalize_product_every_slot(self, arity, d, zeros, seed):
+        rng = np.random.default_rng(seed)
+
+        def nonnegative(shape):
+            return rng.uniform(size=shape) * (rng.uniform(size=shape) >= zeros)
+
+        t = DenseTensor.from_array(nonnegative((d,) * arity))
+        m = nonnegative((arity, d))
+        got = _dense_messages(t.data, m)
+        for k in range(arity):
+            want = marginalize_product(t, list(m), keep=k)
+            # exact zeros agree, so ZeroMessageError names the same edge
+            assert np.array_equal(got[k] == 0.0, want == 0.0)
+            assert np.max(np.abs(got[k] - want)) <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_run_lbp_leaves_marginalize_product_to_the_oracle(self, monkeypatch, damping):
+        from lrbp import engine
+
+        rng = np.random.default_rng(80)
+        bindings = [FactorBinding(tuple(rng.choice(8, size=n, replace=False).tolist()),
+                                  dense(rng.uniform(0.1, 1.0, size=(3,) * n)))
+                    for n in range(1, 7)]
+        g = build_graph(8, 3, bindings, unary=rng.uniform(0.1, 1.0, size=(8, 3)))
+        opts = LBPOptions(max_iters=40, tol=1e-10, damping=damping)
+        beliefs, iterations, converged = reference_lbp(g, opts)
+
+        def oracle_only(*args, **kwargs):
+            raise AssertionError("run_lbp called marginalize_product")
+
+        monkeypatch.setattr(engine, "marginalize_product", oracle_only)
+        got = run_lbp(g, opts)
+        assert got.iterations_used == iterations and got.converged == converged
+        assert np.max(np.abs(got.beliefs - beliefs)) <= 1e-12
 
 
 class TestExactMarginals:

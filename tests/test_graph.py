@@ -193,6 +193,9 @@ class TestGraphFile:
         path.write_text(json.dumps({"num_vars": 2}))
         with pytest.raises(GraphError, match="cardinality"):
             load_graph(path)
+        path.write_text(json.dumps([2, 2]))
+        with pytest.raises(GraphError, match="JSON list, expected an object"):
+            load_graph(path)
 
     def test_unknown_payload_kind_reported(self, tmp_path):
         doc = {
@@ -206,3 +209,36 @@ class TestGraphFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(GraphError, match="sparse"):
             load_graph(path)
+
+    @pytest.mark.parametrize("path, value, match", [
+        ("params/p/weights", 5, "param 'p'"),
+        ("params/p", None, "param 'p'"),
+        ("factors/1/payload/shape", 2, "factor 1"),
+        ("factors/0/scope", ["x"], "factor 0"),
+        ("factors/0/slots", 5, "factor 0"),
+        ("factors/1", 5, "factor 1"),
+        ("num_vars", None, "num_vars"),
+        ("factors", 5, "factors must be a list"),
+        ("params", [1], "params an object"),
+        ("unary", [[1.0, "x"], [1.0, 1.0]], "unary"),
+    ])
+    def test_malformed_value_reported_as_graph_error(self, tmp_path, path, value, match):
+        doc = {
+            "num_vars": 2,
+            "cardinality": 2,
+            "unary": None,
+            "factors": [
+                {"scope": [0, 1], "payload": {"kind": "lowrank", "param_id": "p"}},
+                {"scope": [1], "payload": {"kind": "dense", "shape": [2], "data": [1.0, 2.0]}},
+            ],
+            "params": {"p": {"arity": 2, "d": 2, "rank": 1, "weights": [[[1.0], [1.0]]] * 2}},
+        }
+        *keys, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        parent[last] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(GraphError, match=match):
+            load_graph(file)
