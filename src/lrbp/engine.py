@@ -1,5 +1,5 @@
-"""Sum-product loopy belief propagation with a dense oracle path and a
-low-rank fast path.
+"""Sum-product loopy belief propagation over dense and low-rank factors,
+and exact marginals by enumeration.
 
 Updates run on a synchronous flooding schedule: one iteration computes all
 variable-to-factor messages from the previous factor-to-variable buffer,
@@ -14,6 +14,10 @@ O(n * d * R) per factor. Dense factors go one at a time: a prefix contraction
 of the table against suffix outer products of the rows sends all n messages of
 a factor in O(d**n). Variables are bucketed by degree D: a bucket takes the
 leave-one-out product of its (V, D, d) rows times the unary, O(D * d) each.
+
+This edge-array layout is the only one in the package. The one-message dict
+reference and the full-table marginalizer that the tests check `run_lbp`
+against live in `tests/reference.py`.
 """
 from __future__ import annotations
 
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DensePayload, FactorGraph, factor_cp, factor_table, joint_table
-from .tensors import leave_one_out, marginalize_product
+from .graph import DensePayload, FactorGraph, factor_cp, joint_table
+from .tensors import leave_one_out
 
 NEGATIVE_TOL = -1e-12
 
@@ -38,20 +42,12 @@ class SignViolationWarning(UserWarning):
 
 
 @dataclass
-class MessageState:
-    """Message buffers keyed (var, factor_idx) and (factor_idx, var)."""
-
-    var_to_factor: dict[tuple[int, int], np.ndarray]
-    factor_to_var: dict[tuple[int, int], np.ndarray]
-
-
-@dataclass
 class BeliefSet:
     beliefs: np.ndarray  # (num_vars, d), rows sum to 1
     converged: bool
     iterations_used: int
     final_delta: float
-    trace: tuple[tuple[int, float], ...] | None = None
+    trace: tuple[tuple[int, float], ...] = ()  # (iteration, delta) per iteration
 
 
 @dataclass
@@ -59,7 +55,6 @@ class LBPOptions:
     max_iters: int = 200
     tol: float = 1e-8
     damping: float = 0.0
-    collect_trace: bool = False
 
 
 def _normalize(raw: np.ndarray, what: str, *keys) -> np.ndarray:
@@ -71,45 +66,6 @@ def _normalize(raw: np.ndarray, what: str, *keys) -> np.ndarray:
         what = what.format(*(k[zero[0]] for k in keys))
         raise ZeroMessageError(f"{what} normalized to zero mass")
     return raw / total
-
-
-def init_messages(g: FactorGraph) -> MessageState:
-    """Uniform 1/d start for both message families."""
-    uniform = np.full(g.cardinality, 1.0 / g.cardinality)
-    edges = list(zip(g.layout.var.tolist(), g.layout.fac.tolist()))
-    return MessageState({(i, a): uniform.copy() for i, a in edges},
-                        {(a, i): uniform.copy() for i, a in edges})
-
-
-def var_to_factor_update(state: MessageState, g: FactorGraph, i: int, a: int) -> np.ndarray:
-    """Product of incoming factor messages excluding `a`, times the unary.
-
-    Normalized; with no other neighbours this is the normalized unary
-    (uniform when the unary is absent).
-    """
-    if a not in g.var_adjacency[i]:
-        raise ValueError(f"factor {a} is not adjacent to variable {i}")
-    prod = g.unary[i].copy() if g.unary is not None else np.ones(g.cardinality)
-    for c in g.var_adjacency[i]:
-        if c != a:
-            prod = prod * state.factor_to_var[(c, i)]
-    return _normalize(prod, f"message {i}->{a}")
-
-
-def factor_to_var_dense(
-    state: MessageState, g: FactorGraph, a: int, i: int, cap: int | None = None
-) -> np.ndarray:
-    """Factor-to-variable update by dense marginalization (the oracle path).
-
-    Low-rank payloads are expanded first, subject to the capacity cap.
-    """
-    binding = g.factors[a]
-    pos = binding.scope.index(i)
-    incoming = [
-        None if j == i else state.var_to_factor[(j, a)] for j in binding.scope
-    ]
-    vec = marginalize_product(factor_table(g, a, cap=cap), incoming, keep=pos)
-    return _normalize(vec, f"message {a}->{i}")
 
 
 def _lowrank_messages(w: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -127,7 +83,7 @@ def _dense_messages(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     With S_k the outer product of rows k+1..n-1 and `acc` the table already
     contracted with rows 0..k-1, message k is `acc @ S_k` over acc's leading
     axis. All n messages cost about 2 * d / (d - 1) * d**n multiply-adds;
-    n calls to `marginalize_product` cost n**2 * d**n."""
+    marginalizing the full table once per message costs n**2 * d**n."""
     n, d = m.shape
     suffix = [np.ones(1)]  # suffix[j] is S_{n-1-j}, of length d**j
     for row in m[:0:-1]:
@@ -139,29 +95,6 @@ def _dense_messages(t: np.ndarray, m: np.ndarray) -> np.ndarray:
         out[k] = acc @ suffix[n - 1 - k]
         acc = m[k] @ acc
     return out
-
-
-def factor_to_var_lowrank(state: MessageState, g: FactorGraph, a: int, i: int) -> np.ndarray:
-    """Low-rank factor-to-variable update, by the kernel `run_lbp` batches:
-    O(n_a * d * R). Warns when the message has negative entries."""
-    cp = factor_cp(g, a)
-    scope = g.factors[a].scope
-    m = np.array([state.var_to_factor[(j, a)] for j in scope])
-    vec = _lowrank_messages(np.array(cp.weights)[None], m[None])[0, scope.index(i)]
-    if np.any(vec < NEGATIVE_TOL):
-        warnings.warn(f"low-rank message {a}->{i} has negative entries (min {vec.min():.3e}); "
-                      "mixed-sign weights void the probabilistic guarantees",
-                      SignViolationWarning, stacklevel=2)
-    return _normalize(vec, f"message {a}->{i}")
-
-
-def beliefs_from_messages(g: FactorGraph, state: MessageState) -> np.ndarray:
-    """Per-variable beliefs: unary times all incoming factor messages."""
-    out = g.unary.copy() if g.unary is not None else np.ones((g.num_vars, g.cardinality))
-    for i in range(g.num_vars):
-        for a in g.var_adjacency[i]:
-            out[i] = out[i] * state.factor_to_var[(a, i)]
-    return _normalize(out, "belief of variable {}", range(g.num_vars))
 
 
 def _factor_groups(g: FactorGraph):
@@ -176,7 +109,7 @@ def _factor_groups(g: FactorGraph):
         dense += [(e, p.tensor) for e, p in zip(g.layout.offs[ids].tolist(), payloads)
                   if isinstance(p, DensePayload)]
         lowrank = [k for k, p in enumerate(payloads) if not isinstance(p, DensePayload)]
-        cps = [g.params[payloads[k].param_id] for k in lowrank]
+        cps = [factor_cp(g, a) for a in ids[lowrank].tolist()]
         ranks = np.array([cp.rank for cp in cps], dtype=np.intp)
         for r in np.unique(ranks):
             sel = np.flatnonzero(ranks == r)
@@ -191,7 +124,8 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
 
     Low-rank payloads always take the low-rank path. Optional damping blends
     each new message with its previous value (damping 0 reproduces the
-    undamped update bit for bit). Messages start uniform.
+    undamped update bit for bit). Messages start uniform. The result's trace
+    holds (iteration, delta) for every iteration run.
 
     A zero-mass message raises ZeroMessageError, naming the first in edge
     order; a non-finite one raises FloatingPointError. Low-rank messages with
@@ -242,8 +176,7 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
                     key = tuple(k[bad[0]] for k in keys)
                     raise FloatingPointError(f"non-finite message {key} at iteration {iteration}")
             v2f, f2v = new_v2f, new_f2v
-            if opts.collect_trace:
-                trace.append((iteration, delta))
+            trace.append((iteration, delta))
             if delta < opts.tol:
                 break
         beliefs = unary.copy()
@@ -262,7 +195,7 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
         converged=delta < opts.tol,
         iterations_used=iteration,
         final_delta=delta,
-        trace=tuple(trace) if opts.collect_trace else None,
+        trace=tuple(trace),
     )
 
 

@@ -7,7 +7,8 @@ build and safe for concurrent read.
 
 Edge order: edge offs[a] + k is slot k of factor a, joining it to variable
 scope[k]. LBP and the neural layer keep one message per edge in this order.
-`FactorGraph.layout` holds the edge arrays and `FactorGraph.slots` the
+`FactorGraph.layout` holds the edge arrays, and its degree buckets are the
+graph's only variable-to-factor adjacency; `FactorGraph.slots` holds the
 neural layer's slot index. Each is built on first use, once per graph,
 deterministically from the frozen factors only, so concurrent first reads
 are safe: at worst two threads build equal copies.
@@ -15,7 +16,6 @@ are safe: at worst two threads build equal copies.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,7 +71,6 @@ class FactorGraph:
     cardinality: int
     factors: tuple[FactorBinding, ...]
     params: dict[str, CPFactor]
-    var_adjacency: tuple[tuple[int, ...], ...]
     unary: np.ndarray | None  # (num_vars, d) or None (treated as all-ones)
 
     @cached_property
@@ -149,7 +148,7 @@ def build_graph(
     unary=None,
     params: dict[str, CPFactor] | None = None,
 ) -> FactorGraph:
-    """Validate bindings, build variable adjacency, and freeze the graph.
+    """Validate bindings and freeze the graph.
 
     Factor ordering is preserved from the input. Raises GraphError with the
     offending factor index for out-of-range variables, duplicate variables
@@ -162,7 +161,6 @@ def build_graph(
     params = dict(params) if params else {}
     bindings = tuple(bindings)
 
-    adjacency: list[list[int]] = [[] for _ in range(num_vars)]
     for a, binding in enumerate(bindings):
         scope = binding.scope
         if not scope:
@@ -193,8 +191,6 @@ def build_graph(
                 )
         else:
             raise GraphError(f"factor {a}: unknown payload type {type(payload).__name__}")
-        for v in scope:
-            adjacency[v].append(a)
 
     unary_arr = None
     if unary is not None:
@@ -212,7 +208,6 @@ def build_graph(
         cardinality=cardinality,
         factors=bindings,
         params=params,
-        var_adjacency=tuple(tuple(lst) for lst in adjacency),
         unary=unary_arr,
     )
 

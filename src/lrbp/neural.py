@@ -487,30 +487,60 @@ def save_checkpoint(p: LayerParams, path, opt_state: AdamState | None = None) ->
 
 
 def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
+    """Load a checkpoint written by save_checkpoint.
+
+    A missing or malformed field raises ValueError naming its path, and an
+    array whose shape disagrees with d_h, rank, the MLP width (the length of
+    mlp/b1) or the readout width (the length of readout/b) raises ValueError
+    naming the array as `named_arrays` does."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    arr = lambda x: np.asarray(x, dtype=np.float64)  # noqa: E731
+
+    def field(convert, *keys):
+        node, name = doc, "/".join(keys)
+        for k in keys:
+            if not isinstance(node, dict) or k not in node:
+                raise ValueError(f"checkpoint is missing {name}")
+            node = node[k]
+        try:
+            return convert(node)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint field {name}: {exc}") from exc
+
+    def arr(x):
+        return np.asarray(x, dtype=np.float64)
+
+    d_h, rank = field(int, "d_h"), field(int, "rank")
     slots = {
-        sid: SlotPair(arr(spec["w_in"]), arr(spec["w_out"]))
-        for sid, spec in doc["slots"].items()
+        sid: SlotPair(field(arr, "slots", sid, "w_in"), field(arr, "slots", sid, "w_out"))
+        for sid in field(dict, "slots")
     }
     p = LayerParams(
-        d_h=int(doc["d_h"]),
-        rank=int(doc["rank"]),
+        d_h=d_h,
+        rank=rank,
         slots=slots,
-        w1=arr(doc["mlp"]["w1"]),
-        b1=arr(doc["mlp"]["b1"]),
-        w2=arr(doc["mlp"]["w2"]),
-        b2=arr(doc["mlp"]["b2"]),
-        w_ro=arr(doc["readout"]["w"]),
-        b_ro=arr(doc["readout"]["b"]),
+        w1=field(arr, "mlp", "w1"),
+        b1=field(arr, "mlp", "b1"),
+        w2=field(arr, "mlp", "w2"),
+        b2=field(arr, "mlp", "b2"),
+        w_ro=field(arr, "readout", "w"),
+        b_ro=field(arr, "readout", "b"),
     )
+    d_mlp, out_dim = p.b1.size, p.b_ro.size
+    want = {"mlp/w1": (d_mlp, d_h), "mlp/b1": (d_mlp,), "mlp/w2": (d_h, d_mlp),
+            "mlp/b2": (d_h,), "readout/w": (out_dim, d_h), "readout/b": (out_dim,)}
+    named = named_arrays(p)
+    for name, a in named.items():
+        shape = want.get(name, (d_h, rank))  # the rest are slot matrices
+        if a.shape != shape:
+            raise ValueError(f"checkpoint array {name} has shape {a.shape}, expected {shape}")
     opt = None
     if doc.get("optimizer") is not None:
-        spec = doc["optimizer"]
-        opt = AdamState(
-            int(spec["step"]),
-            {k: arr(v) for k, v in spec["m"].items()},
-            {k: arr(v) for k, v in spec["v"].items()},
-        )
+        moments = [{name: field(arr, "optimizer", key, name) for name in named} for key in "mv"]
+        for key, moment in zip("mv", moments):
+            for name, a in moment.items():
+                if a.shape != named[name].shape:
+                    raise ValueError(f"checkpoint optimizer {key} of {name} has shape {a.shape}, "
+                                     f"expected {named[name].shape}")
+        opt = AdamState(field(int, "optimizer", "step"), *moments)
     return p, opt

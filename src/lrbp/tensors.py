@@ -1,4 +1,5 @@
-"""Dense potential tables, low-rank (CP) factors, and conversions between them.
+"""Dense potential tables, low-rank (CP) factors, conversions between them, and
+the leave-one-out product kernel that LBP and the neural layer share.
 
 A dense table stores every entry of an order-m potential; a CP factor stores
 one d x R weight matrix per variable slot and represents the table
@@ -113,10 +114,7 @@ def cp_expand(f: CPFactor, cap: int | None = None) -> DenseTensor:
             f"expansion of arity-{f.arity} factor with d={f.cardinality} needs "
             f"{n_elements} elements, cap is {cap}"
         )
-    acc = f.weights[0]
-    for w in f.weights[1:]:
-        acc = (acc[:, None, :] * w[None, :, :]).reshape(-1, f.rank)
-    return DenseTensor((f.cardinality,) * f.arity, acc.sum(axis=1))
+    return DenseTensor((f.cardinality,) * f.arity, khatri_rao(list(f.weights)).sum(axis=1))
 
 
 def cp_random(arity: int, d: int, rank: int, seed: int, scale: float = 1.0) -> CPFactor:
@@ -229,35 +227,3 @@ def leave_one_out(x: np.ndarray, axis: int) -> np.ndarray:
     out[:-1] *= np.cumprod(x[:0:-1], axis=0)[::-1]
     return np.moveaxis(out, 0, axis)
 
-
-def marginalize_product(t: DenseTensor, incoming, keep: int) -> np.ndarray:
-    """Sum out all axes but `keep` after weighting by the incoming messages.
-
-    Computes sum over all other axes of t * prod_{j != keep} incoming[j],
-    by direct (vectorized) enumeration of the full table. `incoming` has one
-    vector per axis; the entry at `keep` is a placeholder and is ignored
-    (None is fine). This is the dense factor-to-variable oracle.
-    """
-    arr = t.array
-    m = arr.ndim
-    if not 0 <= keep < m:
-        raise ValueError(f"keep axis {keep} out of range for order-{m} tensor")
-    if len(incoming) != m:
-        raise ValueError(f"expected {m} message slots, got {len(incoming)}")
-    acc = arr
-    for axis, msg in enumerate(incoming):
-        if axis == keep:
-            continue
-        v = np.asarray(msg, dtype=np.float64)
-        if v.shape != (arr.shape[axis],):
-            raise ValueError(
-                f"message for axis {axis} has shape {v.shape}, "
-                f"expected ({arr.shape[axis]},)"
-            )
-        shape = [1] * m
-        shape[axis] = v.size
-        acc = acc * v.reshape(shape)
-    axes = tuple(ax for ax in range(m) if ax != keep)
-    if not axes:
-        return acc.copy()
-    return acc.sum(axis=axes)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrbp.graph import (
     DensePayload,
@@ -14,7 +16,7 @@ from lrbp.graph import (
     load_graph,
     save_graph,
 )
-from lrbp.tensors import CapacityError, DenseTensor, cp_expand, cp_random
+from lrbp.tensors import CapacityError, CPFactor, DenseTensor, cp_expand, cp_random
 
 
 def dense(arr):
@@ -40,16 +42,68 @@ def enumerate_z(g):
     return z
 
 
+def bucket_factors(g):
+    """Each variable's factors as the layout's degree buckets list them."""
+    out = {}
+    for vs, edges in g.layout.buckets:
+        for v, row in zip(vs.tolist(), edges):
+            out[v] = tuple(g.layout.fac[row].tolist())
+    return [out[v] for v in range(g.num_vars)]
+
+
+def scope_factors(g):
+    """Each variable's factors in factor order, from the scopes alone."""
+    return [tuple(a for a, b in enumerate(g.factors) if v in b.scope) for v in range(g.num_vars)]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def wide_values(rng, shape):
+    """Signed values whose exponents span most of the float64 range."""
+    return rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+
+
+def mixed_graph(seed, with_unary, with_slots):
+    """Up to 6 factors of arity 1-3, each dense or low-rank; low-rank factors
+    of one arity may share a parameter set. With `with_slots`, some factors
+    carry slot ids."""
+    rng = np.random.default_rng(seed)
+    num_vars, d = int(rng.integers(1, 6)), int(rng.integers(2, 4))
+    bindings, params = [], {}
+    for _ in range(int(rng.integers(0, 7))):
+        n = int(rng.integers(1, min(3, num_vars) + 1))
+        scope = tuple(rng.choice(num_vars, size=n, replace=False).tolist())
+        if rng.uniform() < 0.5:
+            payload = DensePayload(DenseTensor.from_array(wide_values(rng, (d,) * n)))
+        else:
+            shared = [pid for pid, cp in params.items() if cp.arity == n]
+            if shared and rng.uniform() < 0.5:
+                pid = str(rng.choice(shared))
+            else:
+                pid = f"p{len(params)}"
+                rank = int(rng.integers(1, 4))
+                params[pid] = CPFactor(n, d, rank, tuple(wide_values(rng, (d, rank)) for _ in scope))
+            payload = LowRankPayload(pid)
+        slots = None
+        if with_slots and rng.uniform() < 0.7:
+            slots = tuple(f"s{k}" for k in rng.integers(0, 3, size=n))
+        bindings.append(FactorBinding(scope, payload, slots))
+    unary = wide_values(rng, (num_vars, d)) if with_unary else None
+    return build_graph(num_vars, d, bindings, unary=unary, params=params)
+
+
 class TestBuildGraph:
     def test_degenerate_unary_only(self):
         g = build_graph(1, 2, [], unary=[[2.0, 6.0]])
-        assert g.var_adjacency == ((),)
+        assert bucket_factors(g) == [()]
 
     def test_chain_adjacency(self):
         coupling = dense(np.ones((2, 2)))
         g = build_graph(3, 2, [FactorBinding((0, 1), coupling), FactorBinding((1, 2), coupling)])
-        assert g.var_adjacency == ((0,), (0, 1), (1,))
-        assert len(g.var_adjacency[1]) == 2
+        assert bucket_factors(g) == [(0,), (0, 1), (1,)]
+        assert [vs.tolist() for vs, _ in g.layout.buckets] == [[0, 2], [1]]
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(GraphError, match="factor 0.*duplicate"):
@@ -88,9 +142,7 @@ class TestBuildGraph:
             scope = tuple(rng.choice(5, size=rng.integers(1, 4), replace=False))
             bindings.append(FactorBinding(scope, dense(rng.uniform(size=(3,) * len(scope)))))
         g = build_graph(5, 3, bindings)
-        for i in range(5):
-            for a in range(len(bindings)):
-                assert (i in g.factors[a].scope) == (a in g.var_adjacency[i])
+        assert bucket_factors(g) == scope_factors(g)
 
 
 class TestJointTable:
@@ -163,23 +215,29 @@ class TestGraphFile:
             4, 3, bindings, unary=rng.uniform(size=(4, 3)), params={"shared": cp}
         )
 
-    def test_round_trip_value_exact(self, tmp_path):
-        g = self.make_graph()
-        path = tmp_path / "graph.json"
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), with_unary=st.booleans(), with_slots=st.booleans())
+    def test_round_trip_value_exact(self, tmp_path_factory, seed, with_unary, with_slots):
+        g = mixed_graph(seed, with_unary, with_slots)
+        path = tmp_path_factory.mktemp("graph") / "graph.json"
         save_graph(g, path)
         h = load_graph(path)
-        assert h.num_vars == g.num_vars
-        assert h.cardinality == g.cardinality
-        assert np.array_equal(h.unary, g.unary)
+        assert (h.num_vars, h.cardinality) == (g.num_vars, g.cardinality)
+        assert (h.unary is None) == (g.unary is None)
+        assert g.unary is None or same_bits(h.unary, g.unary)
         assert len(h.factors) == len(g.factors)
         for fa, fb in zip(g.factors, h.factors):
-            assert fa.scope == fb.scope
-            assert fa.slot_ids == fb.slot_ids
-        assert np.array_equal(
-            g.factors[0].payload.tensor.data, h.factors[0].payload.tensor.data
-        )
-        for wa, wb in zip(g.params["shared"].weights, h.params["shared"].weights):
-            assert np.array_equal(wa, wb)
+            assert (fa.scope, fa.slot_ids, type(fa.payload)) == (fb.scope, fb.slot_ids, type(fb.payload))
+            if isinstance(fa.payload, DensePayload):
+                assert fa.payload.tensor.shape == fb.payload.tensor.shape
+                assert same_bits(fa.payload.tensor.data, fb.payload.tensor.data)
+            else:
+                assert fa.payload == fb.payload
+        assert list(h.params) == list(g.params)
+        for pid, cp in g.params.items():
+            got = h.params[pid]
+            assert (got.arity, got.cardinality, got.rank) == (cp.arity, cp.cardinality, cp.rank)
+            assert all(same_bits(wa, wb) for wa, wb in zip(cp.weights, got.weights))
 
     def test_round_trip_twice_is_identical(self, tmp_path):
         g = self.make_graph()

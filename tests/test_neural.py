@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from lrbp.neural import (
     LayerParams,
     SlotPair,
     adam_init,
+    adam_step,
     backward_stack,
     factor_slots,
     forward_stack,
@@ -541,18 +543,71 @@ class TestTrainStep:
             assert np.array_equal(opt.m[k], m) and np.array_equal(opt.v[k], v)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
-        g = lowrank_graph(3, [(0, 1), (1, 2)])
-        p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, seed=13)
-        h0 = HiddenStates(np.random.default_rng(14).standard_normal((3, 4)))
-        p, opt, _ = train_step([(g, h0, np.array([1.0]))], p, None, lr=1e-3)
-        path = tmp_path / "ckpt.json"
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), steps=st.integers(0, 2))
+    def test_round_trip_exact(self, tmp_path_factory, seed, steps):
+        # steps == 0 saves no optimizer state; otherwise Adam runs `steps`
+        # steps on gradients whose exponents span most of the float64 range
+        rng = np.random.default_rng(seed)
+        slot_ids = [f"s{k}/{k % 2}" for k in range(int(rng.integers(0, 4)))]
+        d_h, rank = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        p = init_layer_params(slot_ids, d_h, rank, out_dim=int(rng.integers(1, 3)),
+                              d_mlp=int(rng.integers(1, 6)), seed=seed)
+        opt = None
+        for _ in range(steps):
+            named = named_arrays(p)
+            grads = {k: rng.standard_normal(a.shape) * 10.0 ** rng.integers(-150, 150, size=a.shape)
+                     for k, a in named.items()}
+            new, opt = adam_step(named, grads, opt or adam_init(named), lr=1e-3)
+            p = replace_arrays(p, new)
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
         save_checkpoint(p, path, opt)
         q, opt2 = load_checkpoint(path)
-        for name, arr in named_arrays(p).items():
-            assert np.array_equal(named_arrays(q)[name], arr)
-        assert opt2.step == opt.step
-        for k in opt.m:
-            assert np.array_equal(opt.m[k], opt2.m[k])
-            assert np.array_equal(opt.v[k], opt2.v[k])
+        assert (q.d_h, q.rank, list(q.slots)) == (p.d_h, p.rank, list(p.slots))
+        assert list(named_arrays(q)) == list(named_arrays(p))
+        assert all(same_bits(named_arrays(q)[k], a) for k, a in named_arrays(p).items())
+        assert (opt2 is None) == (opt is None)
+        if opt is not None:
+            assert opt2.step == opt.step == steps
+            for k in opt.m:
+                assert same_bits(opt.m[k], opt2.m[k]) and same_bits(opt.v[k], opt2.v[k])
+
+    @pytest.mark.parametrize("path, value, match", [
+        ("mlp/w1", None, "missing mlp/w1"),
+        ("slots/a/w_in", None, "missing slots/a/w_in"),
+        ("d_h", None, "missing d_h"),
+        ("optimizer/m/readout/b", None, "missing optimizer/m/readout/b"),
+        ("slots/a/w_in", [[1.0]], r"slot/a/w_in has shape \(1, 1\), expected \(3, 2\)"),
+        ("slots/a/w_out", [[1.0, 2.0]] * 2, r"slot/a/w_out has shape \(2, 2\), expected \(3, 2\)"),
+        ("mlp/w1", [[1.0] * 3] * 5, r"mlp/w1 has shape \(5, 3\), expected \(4, 3\)"),
+        ("mlp/w2", [[1.0] * 4] * 2, r"mlp/w2 has shape \(2, 4\), expected \(3, 4\)"),
+        ("mlp/b2", [1.0], r"mlp/b2 has shape \(1,\), expected \(3,\)"),
+        ("readout/w", [[1.0] * 2], r"readout/w has shape \(1, 2\), expected \(1, 3\)"),
+        ("optimizer/v/mlp/b1", [0.0], r"v of mlp/b1 has shape \(1,\), expected \(4,\)"),
+        ("rank", "two", "field rank"),
+        ("mlp/b1", [[1.0, "x"]], "field mlp/b1"),
+        ("slots", 5, "field slots"),
+    ])
+    def test_malformed_checkpoint_reported(self, tmp_path, path, value, match):
+        p = init_layer_params(["a", "b"], d_h=3, rank=2, d_mlp=4, seed=0)
+        file = tmp_path / "ckpt.json"
+        save_checkpoint(p, file, adam_init(named_arrays(p)))
+        doc = json.loads(file.read_text())
+        *keys, last = path.split("/")
+        if keys[:1] == ["optimizer"]:  # moment names contain "/"
+            keys, last = keys[:2], "/".join([*keys[2:], last])
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        if value is None:
+            del parent[last]
+        else:
+            parent[last] = value
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(file)

@@ -12,8 +12,8 @@ from lrbp.tensors import (
     cp_expand,
     cp_fit_als,
     cp_random,
-    marginalize_product,
 )
+from reference import marginalize_product
 
 
 def expand_oracle(weights):
