@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DensePayload, FactorGraph, factor_cp, joint_table
-from .tensors import leave_one_out
+from .tensors import DEFAULT_CAPACITY, leave_one_out
 
 NEGATIVE_TOL = -1e-12
 
@@ -199,7 +199,7 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     )
 
 
-def exact_marginals(g: FactorGraph, cap: int | None = None) -> BeliefSet:
+def exact_marginals(g: FactorGraph, cap: int = DEFAULT_CAPACITY) -> BeliefSet:
     """Exact per-variable marginals by summing the joint table.
 
     Ground truth for tree tests; subject to the capacity cap.

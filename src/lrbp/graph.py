@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensors import CapacityError, CPFactor, DenseTensor, capacity_cap, cp_expand
+from .tensors import DEFAULT_CAPACITY, CapacityError, CPFactor, DenseTensor, cp_expand
 
 
 class GraphError(ValueError):
@@ -65,7 +65,7 @@ class FactorBinding:
         return len(self.scope)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as EdgeLayout: fields hold arrays
 class FactorGraph:
     num_vars: int
     cardinality: int
@@ -220,7 +220,7 @@ def factor_cp(g: FactorGraph, a: int) -> CPFactor:
     return g.params[payload.param_id]
 
 
-def factor_table(g: FactorGraph, a: int, cap: int | None = None) -> DenseTensor:
+def factor_table(g: FactorGraph, a: int, cap: int = DEFAULT_CAPACITY) -> DenseTensor:
     """Dense table of factor `a`, expanding a low-rank payload if needed."""
     payload = g.factors[a].payload
     if isinstance(payload, DensePayload):
@@ -228,14 +228,13 @@ def factor_table(g: FactorGraph, a: int, cap: int | None = None) -> DenseTensor:
     return cp_expand(g.params[payload.param_id], cap=cap)
 
 
-def joint_table(g: FactorGraph, cap: int | None = None) -> tuple[DenseTensor, float]:
+def joint_table(g: FactorGraph, cap: int = DEFAULT_CAPACITY) -> tuple[DenseTensor, float]:
     """Full joint potential over all variables and its total mass Z.
 
     The exact-inference oracle: multiplies every factor table (low-rank
     payloads expanded) and the unary potentials over the d**num_vars grid.
     Raises CapacityError past the element cap and GraphError when Z == 0.
     """
-    cap = capacity_cap() if cap is None else cap
     d, n = g.cardinality, g.num_vars
     n_elements = d**n
     if n_elements > cap:

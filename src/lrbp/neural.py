@@ -9,9 +9,14 @@ Hadamard product, W_out after.
 
 A layer runs on the graph's edge arrays (`g.layout`, in the edge order that
 `lrbp.graph` defines), with one matmul per used slot and the shared
-`tensors.leave_one_out` kernel per arity group. Its hand-derived backward takes
+`tensors.leave_one_out` kernel per arity group; each node sums its messages
+over its row of the layout's degree buckets. Its hand-derived backward takes
 the leave-two-out products from the same kernel, never by division. Parameters
 are read-only during a step; all update functions return fresh structures.
+
+Parameters have one naming outside the two passes, `named_arrays`, which keys
+gradients, Adam moments and checkpoints: a checkpoint is the JSON object {"d_h",
+"rank", "slots", "arrays": named_arrays, "optimizer": null | {"step", "m", "v"}}.
 """
 from __future__ import annotations
 
@@ -117,37 +122,28 @@ def init_layer_params(
     )
 
 
+# named_arrays name -> LayerParams field, for every array outside the slots
+_FIELDS = {"mlp/w1": "w1", "mlp/b1": "b1", "mlp/w2": "w2", "mlp/b2": "b2",
+           "readout/w": "w_ro", "readout/b": "b_ro"}
+
+
 def named_arrays(p: LayerParams) -> dict[str, np.ndarray]:
-    """Flat name -> array view of all parameters (shared slots appear once)."""
-    out = {}
-    for sid, pair in p.slots.items():
-        out[f"slot/{sid}/w_in"] = pair.w_in
-        out[f"slot/{sid}/w_out"] = pair.w_out
-    out["mlp/w1"] = p.w1
-    out["mlp/b1"] = p.b1
-    out["mlp/w2"] = p.w2
-    out["mlp/b2"] = p.b2
-    out["readout/w"] = p.w_ro
-    out["readout/b"] = p.b_ro
-    return out
+    """Flat name -> array view of all parameters (shared slots appear once):
+    `slot/<id>/w_in` and `slot/<id>/w_out` per slot, then the `_FIELDS` names."""
+    slots = {f"slot/{sid}/{w}": getattr(pair, w)
+             for sid, pair in p.slots.items() for w in ("w_in", "w_out")}
+    return {**slots, **{name: getattr(p, attr) for name, attr in _FIELDS.items()}}
+
+
+def _from_names(d_h: int, rank: int, slot_ids, named: dict[str, np.ndarray]) -> LayerParams:
+    """The LayerParams whose named_arrays are `named`, for the given slots."""
+    slots = {sid: SlotPair(named[f"slot/{sid}/w_in"], named[f"slot/{sid}/w_out"])
+             for sid in slot_ids}
+    return LayerParams(d_h, rank, slots, **{attr: named[name] for name, attr in _FIELDS.items()})
 
 
 def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
-    slots = {
-        sid: SlotPair(named[f"slot/{sid}/w_in"], named[f"slot/{sid}/w_out"])
-        for sid in p.slots
-    }
-    return LayerParams(
-        d_h=p.d_h,
-        rank=p.rank,
-        slots=slots,
-        w1=named["mlp/w1"],
-        b1=named["mlp/b1"],
-        w2=named["mlp/w2"],
-        b2=named["mlp/b2"],
-        w_ro=named["readout/w"],
-        b_ro=named["readout/b"],
-    )
+    return _from_names(p.d_h, p.rank, p.slots, named)
 
 
 @dataclass
@@ -200,7 +196,8 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
             f"non-finite message from factor {lay.fac[bad[0]]} into node {var[bad[0]]}"
         )
     agg = np.zeros_like(values)
-    np.add.at(agg, var, msg)
+    for vs, e in lay.buckets:  # each row in edge order
+        agg[vs] = msg[e].sum(axis=1)
 
     z = agg @ p.w1.T + p.b1
     r = np.maximum(z, 0.0)
@@ -255,7 +252,8 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
         grads[f"slot/{sid}/w_in"] += tape.h_in[var[e]].T @ du[e]
         dh_edge[e] = du[e] @ p.slots[sid].w_in.T
     dh = upstream.copy()  # residual path
-    np.add.at(dh, var, dh_edge)
+    for vs, e in g.layout.buckets:
+        dh[vs] += dh_edge[e].sum(axis=1)
     return GradientBundle(grads, dh)
 
 
@@ -273,16 +271,13 @@ def forward_stack(
 
 def backward_stack(tapes: list[Tape], upstream: np.ndarray) -> GradientBundle:
     """Backward through a stack of shared-parameter layers, summing grads."""
-    total: dict[str, np.ndarray] | None = None
+    total = {name: np.zeros_like(a) for name, a in named_arrays(tapes[0].params).items()}
     up = upstream
     for tape in reversed(tapes):
         bundle = lrbp_backward(tape, up)
-        if total is None:
-            total = bundle.by_name
-        else:
-            total = {k: total[k] + bundle.by_name[k] for k in total}
+        for name, grad in bundle.by_name.items():
+            total[name] += grad
         up = bundle.input_states
-    assert total is not None
     return GradientBundle(total, up)
 
 
@@ -451,32 +446,21 @@ def train_step(
     total_loss *= scale
     if not np.isfinite(total_loss):
         return p, opt_state, total_loss
-    if opt_state is None:
-        opt_state = adam_init(named)
     grads = {k: v * scale for k, v in grads.items()}
-    new_named, new_state = adam_step(named, grads, opt_state, lr)
+    new_named, new_state = adam_step(named, grads, opt_state or adam_init(named), lr)
     return replace_arrays(p, new_named), new_state, total_loss
 
 
 def save_checkpoint(p: LayerParams, path, opt_state: AdamState | None = None) -> None:
-    """JSON checkpoint; float round-trip is exact."""
+    """JSON checkpoint; float round-trip is exact. The file holds `d_h`, `rank`,
+    `slots` (the slot ids in order), `arrays` (named_arrays(p)) and `optimizer`:
+    null, or the Adam `step` and the moments `m` and `v`, keyed like `arrays`."""
     doc = {
         "d_h": p.d_h,
         "rank": p.rank,
-        "slots": {
-            sid: {"w_in": sp.w_in.tolist(), "w_out": sp.w_out.tolist()}
-            for sid, sp in p.slots.items()
-        },
-        "mlp": {
-            "w1": p.w1.tolist(),
-            "b1": p.b1.tolist(),
-            "w2": p.w2.tolist(),
-            "b2": p.b2.tolist(),
-        },
-        "readout": {"w": p.w_ro.tolist(), "b": p.b_ro.tolist()},
-        "optimizer": None
-        if opt_state is None
-        else {
+        "slots": list(p.slots),
+        "arrays": {name: a.tolist() for name, a in named_arrays(p).items()},
+        "optimizer": None if opt_state is None else {
             "step": opt_state.step,
             "m": {k: v.tolist() for k, v in opt_state.m.items()},
             "v": {k: v.tolist() for k, v in opt_state.v.items()},
@@ -489,58 +473,48 @@ def save_checkpoint(p: LayerParams, path, opt_state: AdamState | None = None) ->
 def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
     """Load a checkpoint written by save_checkpoint.
 
-    A missing or malformed field raises ValueError naming its path, and an
-    array whose shape disagrees with d_h, rank, the MLP width (the length of
-    mlp/b1) or the readout width (the length of readout/b) raises ValueError
-    naming the array as `named_arrays` does."""
+    A missing or malformed entry raises ValueError naming it (a field by its
+    key, an array by its named_arrays name, a moment as optimizer/<m|v>/<name>),
+    and so does an array or moment whose shape disagrees with d_h, rank, the MLP
+    width (the length of mlp/b1) or the readout width (the length of readout/b)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
-    def field(convert, *keys):
-        node, name = doc, "/".join(keys)
-        for k in keys:
-            if not isinstance(node, dict) or k not in node:
-                raise ValueError(f"checkpoint is missing {name}")
-            node = node[k]
+    def field(convert, node, key, prefix=""):
+        if not isinstance(node, dict) or key not in node:
+            raise ValueError(f"checkpoint is missing {prefix}{key}")
         try:
-            return convert(node)
+            return convert(node[key])
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"checkpoint field {name}: {exc}") from exc
+            raise ValueError(f"checkpoint field {prefix}{key}: {exc}") from exc
 
     def arr(x):
         return np.asarray(x, dtype=np.float64)
 
-    d_h, rank = field(int, "d_h"), field(int, "rank")
-    slots = {
-        sid: SlotPair(field(arr, "slots", sid, "w_in"), field(arr, "slots", sid, "w_out"))
-        for sid in field(dict, "slots")
-    }
-    p = LayerParams(
-        d_h=d_h,
-        rank=rank,
-        slots=slots,
-        w1=field(arr, "mlp", "w1"),
-        b1=field(arr, "mlp", "b1"),
-        w2=field(arr, "mlp", "w2"),
-        b2=field(arr, "mlp", "b2"),
-        w_ro=field(arr, "readout", "w"),
-        b_ro=field(arr, "readout", "b"),
-    )
-    d_mlp, out_dim = p.b1.size, p.b_ro.size
+    def ids(x):
+        if not isinstance(x, list) or not all(isinstance(sid, str) for sid in x):
+            raise TypeError("expected a list of slot id strings")
+        return x
+
+    d_h, rank = field(int, doc, "d_h"), field(int, doc, "rank")
+    slot_ids = field(ids, doc, "slots")
+    arrays = field(dict, doc, "arrays")
+    names = [f"slot/{sid}/{w}" for sid in slot_ids for w in ("w_in", "w_out")] + list(_FIELDS)
+    named = {name: field(arr, arrays, name) for name in names}
+    opt = doc.get("optimizer")
+    moments = []
+    if opt is not None:
+        for key in "mv":
+            moment = field(dict, opt, key, "optimizer/")
+            moments.append({name: field(arr, moment, name, f"optimizer/{key}/") for name in named})
+    d_mlp, out_dim = named["mlp/b1"].size, named["readout/b"].size
     want = {"mlp/w1": (d_mlp, d_h), "mlp/b1": (d_mlp,), "mlp/w2": (d_h, d_mlp),
             "mlp/b2": (d_h,), "readout/w": (out_dim, d_h), "readout/b": (out_dim,)}
-    named = named_arrays(p)
     for name, a in named.items():
         shape = want.get(name, (d_h, rank))  # the rest are slot matrices
-        if a.shape != shape:
-            raise ValueError(f"checkpoint array {name} has shape {a.shape}, expected {shape}")
-    opt = None
-    if doc.get("optimizer") is not None:
-        moments = [{name: field(arr, "optimizer", key, name) for name in named} for key in "mv"]
-        for key, moment in zip("mv", moments):
-            for name, a in moment.items():
-                if a.shape != named[name].shape:
-                    raise ValueError(f"checkpoint optimizer {key} of {name} has shape {a.shape}, "
-                                     f"expected {named[name].shape}")
-        opt = AdamState(field(int, "optimizer", "step"), *moments)
-    return p, opt
+        checked = [("array", a)] + [(f"optimizer {k} of", m[name]) for k, m in zip("mv", moments)]
+        for what, x in checked:
+            if x.shape != shape:
+                raise ValueError(f"checkpoint {what} {name} has shape {x.shape}, expected {shape}")
+    p = _from_names(d_h, rank, slot_ids, named)
+    return p, None if opt is None else AdamState(field(int, opt, "step", "optimizer/"), *moments)

@@ -11,7 +11,6 @@ All values are immutable after construction.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,6 @@ DEFAULT_CAPACITY = 10_000_000
 
 class CapacityError(Exception):
     """A dense expansion or enumeration would exceed the element cap."""
-
-
-def capacity_cap() -> int:
-    """Element cap for dense expansion/enumeration. LRBP_CAPACITY overrides."""
-    raw = os.environ.get("LRBP_CAPACITY")
-    return int(raw) if raw else DEFAULT_CAPACITY
 
 
 @dataclass(frozen=True)
@@ -100,14 +93,13 @@ class CPFactor:
         object.__setattr__(self, "weights", ws)
 
 
-def cp_expand(f: CPFactor, cap: int | None = None) -> DenseTensor:
+def cp_expand(f: CPFactor, cap: int = DEFAULT_CAPACITY) -> DenseTensor:
     """Expand a CP factor to its dense table.
 
     Entry (i_1..i_m) is sum_r prod_j weights[j][i_j, r]; exact up to
     floating-point accumulation. Raises CapacityError when d**arity
-    exceeds the element cap.
+    exceeds `cap`.
     """
-    cap = capacity_cap() if cap is None else cap
     n_elements = f.cardinality**f.arity
     if n_elements > cap:
         raise CapacityError(

@@ -16,7 +16,7 @@ import numpy as np
 
 from lrbp.engine import NEGATIVE_TOL, SignViolationWarning, _lowrank_messages, _normalize
 from lrbp.graph import FactorGraph, factor_cp, factor_table
-from lrbp.tensors import DenseTensor
+from lrbp.tensors import DEFAULT_CAPACITY, DenseTensor
 
 
 @dataclass
@@ -57,7 +57,7 @@ def var_to_factor_update(state: MessageState, g: FactorGraph, i: int, a: int) ->
 
 
 def factor_to_var_dense(
-    state: MessageState, g: FactorGraph, a: int, i: int, cap: int | None = None
+    state: MessageState, g: FactorGraph, a: int, i: int, cap: int = DEFAULT_CAPACITY
 ) -> np.ndarray:
     """Factor-to-variable update by dense marginalization.
 

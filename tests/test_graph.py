@@ -144,6 +144,17 @@ class TestBuildGraph:
         g = build_graph(5, 3, bindings)
         assert bucket_factors(g) == scope_factors(g)
 
+    def test_equality_is_identity(self):
+        # field-wise equality would compare the unary arrays and hash the params dict
+        def make():
+            return build_graph(2, 2, [FactorBinding((0, 1), dense(np.ones((2, 2))))],
+                               unary=np.ones((2, 2)), params={"p": cp_random(2, 2, 1, seed=0)})
+
+        g, h = make(), make()
+        assert g == g and g != h and not (g == h)
+        assert g in {g} and h not in {g}
+        assert len({g, h, g}) == 2
+
 
 class TestJointTable:
     def test_single_unary(self):

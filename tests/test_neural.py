@@ -567,6 +567,12 @@ class TestCheckpoint:
             p = replace_arrays(p, new)
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
         save_checkpoint(p, path, opt)
+        doc = json.loads(path.read_text())
+        assert doc["slots"] == list(p.slots)
+        assert list(doc["arrays"]) == list(named_arrays(p))
+        if opt is not None:
+            moments = doc["optimizer"]
+            assert list(moments["m"]) == list(moments["v"]) == list(named_arrays(p))
         q, opt2 = load_checkpoint(path)
         assert (q.d_h, q.rank, list(q.slots)) == (p.d_h, p.rank, list(p.slots))
         assert list(named_arrays(q)) == list(named_arrays(p))
@@ -577,13 +583,15 @@ class TestCheckpoint:
             for k in opt.m:
                 assert same_bits(opt.m[k], opt2.m[k]) and same_bits(opt.v[k], opt2.v[k])
 
-    @pytest.mark.parametrize("path, value, match", [
+    # `name` is a top-level field, an array's named_arrays name (looked up in
+    # "arrays") or a moment as optimizer/<m|v>/<name>
+    @pytest.mark.parametrize("name, value, match", [
         ("mlp/w1", None, "missing mlp/w1"),
-        ("slots/a/w_in", None, "missing slots/a/w_in"),
+        ("slot/a/w_in", None, "missing slot/a/w_in"),
         ("d_h", None, "missing d_h"),
         ("optimizer/m/readout/b", None, "missing optimizer/m/readout/b"),
-        ("slots/a/w_in", [[1.0]], r"slot/a/w_in has shape \(1, 1\), expected \(3, 2\)"),
-        ("slots/a/w_out", [[1.0, 2.0]] * 2, r"slot/a/w_out has shape \(2, 2\), expected \(3, 2\)"),
+        ("slot/a/w_in", [[1.0]], r"slot/a/w_in has shape \(1, 1\), expected \(3, 2\)"),
+        ("slot/a/w_out", [[1.0, 2.0]] * 2, r"slot/a/w_out has shape \(2, 2\), expected \(3, 2\)"),
         ("mlp/w1", [[1.0] * 3] * 5, r"mlp/w1 has shape \(5, 3\), expected \(4, 3\)"),
         ("mlp/w2", [[1.0] * 4] * 2, r"mlp/w2 has shape \(2, 4\), expected \(3, 4\)"),
         ("mlp/b2", [1.0], r"mlp/b2 has shape \(1,\), expected \(3,\)"),
@@ -592,22 +600,42 @@ class TestCheckpoint:
         ("rank", "two", "field rank"),
         ("mlp/b1", [[1.0, "x"]], "field mlp/b1"),
         ("slots", 5, "field slots"),
+        ("slots", "ab", "field slots"),
     ])
-    def test_malformed_checkpoint_reported(self, tmp_path, path, value, match):
+    def test_malformed_checkpoint_reported(self, tmp_path, name, value, match):
         p = init_layer_params(["a", "b"], d_h=3, rank=2, d_mlp=4, seed=0)
         file = tmp_path / "ckpt.json"
         save_checkpoint(p, file, adam_init(named_arrays(p)))
         doc = json.loads(file.read_text())
-        *keys, last = path.split("/")
-        if keys[:1] == ["optimizer"]:  # moment names contain "/"
-            keys, last = keys[:2], "/".join([*keys[2:], last])
-        parent = doc
-        for key in keys:
-            parent = parent[key]
-        if value is None:
-            del parent[last]
+        if name in doc:
+            parent, key = doc, name
+        elif name.startswith("optimizer/"):
+            _, moment, key = name.split("/", 2)
+            parent = doc["optimizer"][moment]
         else:
-            parent[last] = value
+            parent, key = doc["arrays"], name
+        if value is None:
+            del parent[key]
+        else:
+            parent[key] = value
         file.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
+            load_checkpoint(file)
+
+    def test_nested_layout_rejected(self, tmp_path):
+        # the layout that read each field by a nested path is never loaded
+        p = init_layer_params(["a", "b"], d_h=3, rank=2, d_mlp=4, seed=0)
+        doc = {
+            "d_h": 3,
+            "rank": 2,
+            "slots": {sid: {"w_in": sp.w_in.tolist(), "w_out": sp.w_out.tolist()}
+                      for sid, sp in p.slots.items()},
+            "mlp": {"w1": p.w1.tolist(), "b1": p.b1.tolist(), "w2": p.w2.tolist(),
+                    "b2": p.b2.tolist()},
+            "readout": {"w": p.w_ro.tolist(), "b": p.b_ro.tolist()},
+            "optimizer": None,
+        }
+        file = tmp_path / "ckpt.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="field slots: expected a list of slot id strings"):
             load_checkpoint(file)
