@@ -14,9 +14,11 @@ over its row of the layout's degree buckets. Its hand-derived backward takes
 the leave-two-out products from the same kernel, never by division. Parameters
 are read-only during a step; all update functions return fresh structures.
 
-Parameters have one naming outside the two passes, `named_arrays`, which keys
-gradients, Adam moments and checkpoints: a checkpoint is the JSON object {"d_h",
-"rank", "slots", "arrays": named_arrays, "optimizer": null | {"step", "m", "v"}}.
+A `LayerParams` holds its arrays in one table, keyed by name (see
+`LayerParams`). Gradients, Adam moments and checkpoints use the same names:
+`lrbp_backward` adds each layer's gradients into a table the caller owns, and a
+checkpoint is the JSON object {"d_h", "rank", "slots", "arrays", "optimizer":
+null | {"step", "m", "v"}}.
 """
 from __future__ import annotations
 
@@ -45,32 +47,31 @@ class HiddenStates:
 
 
 @dataclass(frozen=True)
-class SlotPair:
-    """Doubled weight set of one parameter slot: both are d_h x R."""
-
-    w_in: np.ndarray
-    w_out: np.ndarray
-
-
-@dataclass(frozen=True)
 class LayerParams:
+    """Parameters shared by every layer of a stack, as one named table.
+
+    `arrays` maps each name to its array, in this order:
+
+        slot/<id>/w_in, slot/<id>/w_out  (d_h, R)       per slot, in slot order
+        mlp/w1                           (d_mlp, d_h)
+        mlp/b1                           (d_mlp,)
+        mlp/w2                           (d_h, d_mlp)
+        mlp/b2                           (d_h,)
+        readout/w                        (out_dim, d_h)  readout affine map
+        readout/b                        (out_dim,)
+
+    A slot id may contain "/"; the slot ids are read back from the table.
+    """
+
     d_h: int
     rank: int
-    slots: dict[str, SlotPair]
-    w1: np.ndarray  # (d_mlp, d_h)
-    b1: np.ndarray  # (d_mlp,)
-    w2: np.ndarray  # (d_h, d_mlp)
-    b2: np.ndarray  # (d_h,)
-    w_ro: np.ndarray  # (out_dim, d_h) readout affine map
-    b_ro: np.ndarray  # (out_dim,)
+    arrays: dict[str, np.ndarray]
 
-
-@dataclass
-class GradientBundle:
-    """Gradients keyed like named_arrays(params), plus input-state grads."""
-
-    by_name: dict[str, np.ndarray]
-    input_states: np.ndarray
+    @property
+    def slots(self) -> list[str]:
+        """The slot ids, in table order."""
+        return [name[len("slot/"):-len("/w_in")] for name in self.arrays
+                if name.startswith("slot/") and name.endswith("/w_in")]
 
 
 def graph_slot_ids(g: FactorGraph) -> list[str]:
@@ -100,50 +101,30 @@ def init_layer_params(
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)
     )
     s = 1.0 / np.sqrt(rank)
-    slots = {
-        sid: SlotPair(
-            slot_rng.uniform(-s, s, size=(d_h, rank)),
-            slot_rng.uniform(-s, s, size=(d_h, rank)),
-        )
-        for sid in slot_ids
-    }
+    slots = {f"slot/{sid}/{w}": slot_rng.uniform(-s, s, size=(d_h, rank))
+             for sid in slot_ids for w in ("w_in", "w_out")}
     s1 = 1.0 / np.sqrt(d_h)
     s2 = 1.0 / np.sqrt(d_mlp)
-    return LayerParams(
-        d_h=d_h,
-        rank=rank,
-        slots=slots,
-        w1=mlp_rng.uniform(-s1, s1, size=(d_mlp, d_h)),
-        b1=mlp_rng.uniform(-s1, s1, size=d_mlp),
-        w2=mlp_rng.uniform(-s2, s2, size=(d_h, d_mlp)),
-        b2=mlp_rng.uniform(-s2, s2, size=d_h),
-        w_ro=ro_rng.uniform(-s1, s1, size=(out_dim, d_h)),
-        b_ro=ro_rng.uniform(-s1, s1, size=out_dim),
-    )
-
-
-# named_arrays name -> LayerParams field, for every array outside the slots
-_FIELDS = {"mlp/w1": "w1", "mlp/b1": "b1", "mlp/w2": "w2", "mlp/b2": "b2",
-           "readout/w": "w_ro", "readout/b": "b_ro"}
+    return LayerParams(d_h, rank, {
+        **slots,
+        "mlp/w1": mlp_rng.uniform(-s1, s1, size=(d_mlp, d_h)),
+        "mlp/b1": mlp_rng.uniform(-s1, s1, size=d_mlp),
+        "mlp/w2": mlp_rng.uniform(-s2, s2, size=(d_h, d_mlp)),
+        "mlp/b2": mlp_rng.uniform(-s2, s2, size=d_h),
+        "readout/w": ro_rng.uniform(-s1, s1, size=(out_dim, d_h)),
+        "readout/b": ro_rng.uniform(-s1, s1, size=out_dim),
+    })
 
 
 def named_arrays(p: LayerParams) -> dict[str, np.ndarray]:
-    """Flat name -> array view of all parameters (shared slots appear once):
-    `slot/<id>/w_in` and `slot/<id>/w_out` per slot, then the `_FIELDS` names."""
-    slots = {f"slot/{sid}/{w}": getattr(pair, w)
-             for sid, pair in p.slots.items() for w in ("w_in", "w_out")}
-    return {**slots, **{name: getattr(p, attr) for name, attr in _FIELDS.items()}}
-
-
-def _from_names(d_h: int, rank: int, slot_ids, named: dict[str, np.ndarray]) -> LayerParams:
-    """The LayerParams whose named_arrays are `named`, for the given slots."""
-    slots = {sid: SlotPair(named[f"slot/{sid}/w_in"], named[f"slot/{sid}/w_out"])
-             for sid in slot_ids}
-    return LayerParams(d_h, rank, slots, **{attr: named[name] for name, attr in _FIELDS.items()})
+    """A new name -> array dict over p's arrays (shared slots appear once), in
+    table order; editing the dict leaves p unchanged."""
+    return dict(p.arrays)
 
 
 def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
-    return _from_names(p.d_h, p.rank, p.slots, named)
+    """The LayerParams with p's names, in p's order, and the arrays of `named`."""
+    return LayerParams(p.d_h, p.rank, {name: named[name] for name in p.arrays})
 
 
 @dataclass
@@ -175,8 +156,9 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
         raise FloatingPointError("non-finite input hidden states")
 
     lay = g.layout
+    w = p.arrays
     for sid, e in g.slots:  # first-appearance order, so the first bad edge raises
-        if sid not in p.slots:
+        if f"slot/{sid}/w_in" not in w:
             raise ValueError(f"factor {lay.fac[e[0]]}: unmapped slot id {sid!r}")
     var = lay.var
     u = np.empty((var.size, p.rank))
@@ -185,11 +167,11 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     # overflow shows as the non-finite message below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for sid, e in g.slots:
-            u[e] = values[var[e]] @ p.slots[sid].w_in
+            u[e] = values[var[e]] @ w[f"slot/{sid}/w_in"]
         for _, ids in lay.arities:
             loo[ids] = leave_one_out(u[ids], axis=1)
         for sid, e in g.slots:
-            msg[e] = loo[e] @ p.slots[sid].w_out.T
+            msg[e] = loo[e] @ w[f"slot/{sid}/w_out"].T
     bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
     if bad.size:
         raise FloatingPointError(
@@ -199,37 +181,38 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     for vs, e in lay.buckets:  # each row in edge order
         agg[vs] = msg[e].sum(axis=1)
 
-    z = agg @ p.w1.T + p.b1
+    z = agg @ w["mlp/w1"].T + w["mlp/b1"]
     r = np.maximum(z, 0.0)
-    out = r @ p.w2.T + p.b2
+    out = r @ w["mlp/w2"].T + w["mlp/b2"]
     new_values = values + out
     tape = Tape(params=p, h_in=values, graph=g, u=u, loo=loo, agg=agg, z=z, r=r)
     return HiddenStates(new_values, h.t + 1), tape
 
 
-def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
-    """Exact reverse-mode gradients of one layer.
+def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Exact reverse-mode gradients of one layer; returns the gradient w.r.t.
+    the layer's input states.
 
     `upstream` is the loss gradient w.r.t. the layer's output states. The
-    gradient of loo_k w.r.t. u_l (l != k) is the product over the slots other
-    than k and l, taken by the same leave-one-out kernel with u_k set to 1
-    (no division by possibly-zero factors). Shared slot ids accumulate.
+    parameter gradients are added in place into `grads`, the caller's table
+    keyed like named_arrays. The gradient of loo_k w.r.t. u_l (l != k) is the
+    product over the slots other than k and l, taken by the same leave-one-out
+    kernel with u_k set to 1 (no division by possibly-zero factors). Shared
+    slot ids accumulate.
     """
-    p = tape.params
+    w = tape.params.arrays
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != tape.h_in.shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != states shape {tape.h_in.shape}"
         )
-    grads = {name: np.zeros_like(arr) for name, arr in named_arrays(p).items()}
-
     # MLP backward
     grads["mlp/b2"] += upstream.sum(axis=0)
     grads["mlp/w2"] += upstream.T @ tape.r
-    dz = (upstream @ p.w2) * (tape.z > 0)
+    dz = (upstream @ w["mlp/w2"]) * (tape.z > 0)
     grads["mlp/b1"] += dz.sum(axis=0)
     grads["mlp/w1"] += dz.T @ tape.agg
-    dagg = dz @ p.w1
+    dagg = dz @ w["mlp/w1"]
 
     g = tape.graph
     var = g.layout.var
@@ -237,7 +220,7 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
     dloo = np.empty_like(tape.loo)
     for sid, e in g.slots:
         grads[f"slot/{sid}/w_out"] += dmsg[e].T @ tape.loo[e]
-        dloo[e] = dmsg[e] @ p.slots[sid].w_out
+        dloo[e] = dmsg[e] @ w[f"slot/{sid}/w_out"]
     du = np.empty_like(tape.u)
     for _, ids in g.layout.arities:
         diag = np.arange(ids.shape[1])
@@ -250,11 +233,11 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray) -> GradientBundle:
     dh_edge = np.empty_like(dmsg)
     for sid, e in g.slots:
         grads[f"slot/{sid}/w_in"] += tape.h_in[var[e]].T @ du[e]
-        dh_edge[e] = du[e] @ p.slots[sid].w_in.T
+        dh_edge[e] = du[e] @ w[f"slot/{sid}/w_in"].T
     dh = upstream.copy()  # residual path
     for vs, e in g.layout.buckets:
         dh[vs] += dh_edge[e].sum(axis=1)
-    return GradientBundle(grads, dh)
+    return dh
 
 
 def forward_stack(
@@ -269,16 +252,13 @@ def forward_stack(
     return cur, tapes
 
 
-def backward_stack(tapes: list[Tape], upstream: np.ndarray) -> GradientBundle:
-    """Backward through a stack of shared-parameter layers, summing grads."""
-    total = {name: np.zeros_like(a) for name, a in named_arrays(tapes[0].params).items()}
-    up = upstream
+def backward_stack(tapes: list[Tape], upstream: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Backward through a stack of shared-parameter layers, adding every
+    layer's gradients into `grads`; returns the gradient w.r.t. the stack's
+    input states (`upstream` itself for an empty stack)."""
     for tape in reversed(tapes):
-        bundle = lrbp_backward(tape, up)
-        for name, grad in bundle.by_name.items():
-            total[name] += grad
-        up = bundle.input_states
-    return GradientBundle(total, up)
+        upstream = lrbp_backward(tape, upstream, grads)
+    return upstream
 
 
 @dataclass
@@ -316,32 +296,33 @@ def grad_check(
         return out.values, [t.z > 0 for t in tapes]
 
     h_t, tapes = forward_stack(h0, g, p, layers)
-    bundle = backward_stack(tapes, 2.0 * h_t.values)
+    grads = {name: np.zeros_like(arr) for name, arr in p.arrays.items()}
+    backward_stack(tapes, 2.0 * h_t.values, grads)
 
     worst = 0.0
     worst_name = None
     checked = 0
     skipped = 0
-    for name, arr in named_arrays(p).items():
-        flat = arr.ravel()
-        ana_flat = bundle.by_name[name].ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
+    for name, arr in p.arrays.items():
+        # perturb the array itself (ravel() copies a non-C-contiguous one);
+        # `flat` is the C-order index that worst_param reports
+        for flat, idx in enumerate(np.ndindex(arr.shape)):
+            orig = arr[idx]
+            arr[idx] = orig + eps
             out_p, masks_p = output_and_masks()
-            flat[idx] = orig - eps
+            arr[idx] = orig - eps
             out_m, masks_m = output_and_masks()
-            flat[idx] = orig
+            arr[idx] = orig
             if any(not np.array_equal(mp, mm) for mp, mm in zip(masks_p, masks_m)):
                 skipped += 1
                 continue
             numeric = float(np.sum((out_p - out_m) * (out_p + out_m))) / (2.0 * eps)
-            analytic = ana_flat[idx]
+            analytic = grads[name][idx]
             rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-3)
             checked += 1
             if rel > worst:
                 worst = rel
-                worst_name = f"{name}[{idx}]"
+                worst_name = f"{name}[{flat}]"
     return GradCheckResult(worst, worst_name, checked, skipped)
 
 
@@ -361,7 +342,7 @@ def readout(h: HiddenStates, p: LayerParams) -> np.ndarray:
     """
     if h.values.shape[0] == 0:
         raise ValueError("readout of an empty graph")
-    return p.w_ro @ node_mean(h.values) + p.b_ro
+    return p.arrays["readout/w"] @ node_mean(h.values) + p.arrays["readout/b"]
 
 
 @dataclass
@@ -411,11 +392,12 @@ def train_step(
 
     `batch` is a sequence of (graph, HiddenStates, target) triples. Runs
     `layers` forward passes, the readout, and the hand-derived backward;
-    gradients accumulate over the batch in order. A non-finite loss aborts
-    the step with parameters unchanged and returns the optimizer state it was
-    given. A `FloatingPointError` from the forward pass of any graph (a
-    non-finite message or input) counts as a non-finite loss: the loss is
-    NaN. An empty batch, or a graph without nodes, raises ValueError before
+    gradients accumulate over the batch in order into one table; with
+    `layers=0` only the readout is fitted, on the mean input state. A
+    non-finite loss aborts the step with parameters unchanged and returns the
+    optimizer state it was given. A `FloatingPointError` from the forward pass
+    of any graph (a non-finite message or input) counts as a non-finite loss:
+    the loss is NaN. An empty batch, or a graph without nodes, raises ValueError before
     any forward pass. Returns (params, opt_state, loss).
     """
     if not batch or any(g.num_vars == 0 for g, _, _ in batch):
@@ -429,19 +411,14 @@ def train_step(
             h_t, tapes = forward_stack(h0, g, p, layers)
         except FloatingPointError:
             return p, opt_state, float("nan")
-        mean = node_mean(h_t.values)  # the reduction readout() uses
-        pred = p.w_ro @ mean + p.b_ro
-        resid = pred - target
+        resid = readout(h_t, p) - target
         total_loss += float(np.mean(np.abs(resid)))
         dpred = np.sign(resid) / resid.size
-        grads["readout/w"] += np.outer(dpred, mean)
+        grads["readout/w"] += np.outer(dpred, node_mean(h_t.values))
         grads["readout/b"] += dpred
-        dmean = p.w_ro.T @ dpred
+        dmean = named["readout/w"].T @ dpred
         n_nodes = h_t.values.shape[0]
-        upstream = np.tile(dmean / n_nodes, (n_nodes, 1))
-        bundle = backward_stack(tapes, upstream)
-        for k in grads:
-            grads[k] += bundle.by_name[k]
+        backward_stack(tapes, np.tile(dmean / n_nodes, (n_nodes, 1)), grads)
     scale = 1.0 / len(batch)
     total_loss *= scale
     if not np.isfinite(total_loss):
@@ -458,7 +435,7 @@ def save_checkpoint(p: LayerParams, path, opt_state: AdamState | None = None) ->
     doc = {
         "d_h": p.d_h,
         "rank": p.rank,
-        "slots": list(p.slots),
+        "slots": p.slots,
         "arrays": {name: a.tolist() for name, a in named_arrays(p).items()},
         "optimizer": None if opt_state is None else {
             "step": opt_state.step,
@@ -499,7 +476,8 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
     d_h, rank = field(int, doc, "d_h"), field(int, doc, "rank")
     slot_ids = field(ids, doc, "slots")
     arrays = field(dict, doc, "arrays")
-    names = [f"slot/{sid}/{w}" for sid in slot_ids for w in ("w_in", "w_out")] + list(_FIELDS)
+    names = [f"slot/{sid}/{w}" for sid in slot_ids for w in ("w_in", "w_out")]
+    names += ["mlp/w1", "mlp/b1", "mlp/w2", "mlp/b2", "readout/w", "readout/b"]
     named = {name: field(arr, arrays, name) for name in names}
     opt = doc.get("optimizer")
     moments = []
@@ -516,5 +494,5 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
         for what, x in checked:
             if x.shape != shape:
                 raise ValueError(f"checkpoint {what} {name} has shape {x.shape}, expected {shape}")
-    p = _from_names(d_h, rank, slot_ids, named)
+    p = LayerParams(d_h, rank, named)
     return p, None if opt is None else AdamState(field(int, opt, "step", "optimizer/"), *moments)

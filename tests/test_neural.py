@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import warnings
 
@@ -11,10 +10,8 @@ from lrbp import neural
 from lrbp.engine import _lowrank_messages
 from lrbp.graph import FactorBinding, LowRankPayload, build_graph, factor_cp
 from lrbp.neural import (
-    GradientBundle,
     HiddenStates,
     LayerParams,
-    SlotPair,
     adam_init,
     adam_step,
     backward_stack,
@@ -49,16 +46,16 @@ def lowrank_graph(num_vars, scopes, slot_lists=None, d=2, rank=2, seed=0):
 
 
 def zero_mlp_output(p):
-    named = dict(named_arrays(p))
-    named["mlp/w2"] = np.zeros_like(p.w2)
-    named["mlp/b2"] = np.zeros_like(p.b2)
+    named = named_arrays(p)
+    named["mlp/w2"] = np.zeros_like(named["mlp/w2"])
+    named["mlp/b2"] = np.zeros_like(named["mlp/b2"])
     return replace_arrays(p, named)
 
 
 def identity_mlp(p):
     """MLP(x) = relu(x) - relu(-x) = x, requires d_mlp = 2 * d_h."""
     d_h = p.d_h
-    named = dict(named_arrays(p))
+    named = named_arrays(p)
     named["mlp/w1"] = np.vstack([np.eye(d_h), -np.eye(d_h)])
     named["mlp/b1"] = np.zeros(2 * d_h)
     named["mlp/w2"] = np.hstack([np.eye(d_h), -np.eye(d_h)])
@@ -84,7 +81,7 @@ class TestForward:
         e1 = np.zeros((d_h, 1))
         e1[0, 0] = 1.0
         p = init_layer_params(["s0", "s1"], d_h=d_h, rank=1, seed=0)
-        named = dict(named_arrays(p))
+        named = named_arrays(p)
         for sid in ("s0", "s1"):
             named[f"slot/{sid}/w_in"] = e1.copy()
             named[f"slot/{sid}/w_out"] = e1.copy()
@@ -136,7 +133,7 @@ class TestForward:
         p = zero_mlp_output(init_layer_params(["s"], d_h=3, rank=4, seed=3))
         h = HiddenStates(np.zeros((1, 3)))
         _, tape = lrbp_forward(h, g, p)
-        np.testing.assert_allclose(tape.agg[0], p.slots["s"].w_out @ np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(tape.agg[0], p.arrays["slot/s/w_out"] @ np.ones(4), atol=1e-15)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -161,9 +158,12 @@ class TestForward:
         rng = np.random.default_rng(21)
         scopes = [tuple(rng.choice(6, size=n, replace=False)) for n in (2, 3, 4, 2, 4, 3)]
         g = lowrank_graph(6, scopes, d=3, rank=4, seed=22)
-        slots = {sid: SlotPair(w, w) for a in range(len(scopes))
-                 for sid, w in zip(factor_slots(g, a), factor_cp(g, a).weights)}
-        p = dataclasses.replace(init_layer_params(slots, d_h=3, rank=4), slots=slots)
+        weights = {sid: w for a in range(len(scopes))
+                   for sid, w in zip(factor_slots(g, a), factor_cp(g, a).weights)}
+        p = init_layer_params(weights, d_h=3, rank=4)
+        named = named_arrays(p)
+        named.update({f"slot/{sid}/{m}": w for sid, w in weights.items() for m in ("w_in", "w_out")})
+        p = replace_arrays(p, named)
         h = rng.uniform(0.1, 1.0, size=(6, 3))
         _, tape = lrbp_forward(HiddenStates(h), g, p)
         expected = np.zeros_like(h)
@@ -193,10 +193,10 @@ class TestForward:
         expected = np.zeros_like(h)
         for a, binding in enumerate(g.factors):
             slots = factor_slots(g, a)
-            us = [p.slots[sid].w_in.T @ h[j] for sid, j in zip(slots, binding.scope)]
+            us = [p.arrays[f"slot/{sid}/w_in"].T @ h[j] for sid, j in zip(slots, binding.scope)]
             for k, (sid, j) in enumerate(zip(slots, binding.scope)):
                 others = np.array([us[m] for m in range(len(us)) if m != k]).reshape(-1, rank)
-                expected[j] += p.slots[sid].w_out @ np.prod(others, axis=0)
+                expected[j] += p.arrays[f"slot/{sid}/w_out"] @ np.prod(others, axis=0)
         out, tape = lrbp_forward(HiddenStates(h), g, p)
         assert np.max(np.abs(tape.agg - expected), initial=0.0) <= 1e-12
 
@@ -211,18 +211,23 @@ def fd_loss_grads(loss_fn, p, eps=1e-6):
     """Central finite differences of loss_fn() w.r.t. every parameter entry."""
     out = {}
     for name, arr in named_arrays(p).items():
-        flat = arr.ravel()
-        grad = np.zeros(flat.size)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
+        grad = np.zeros(arr.shape)
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + eps
             lp = loss_fn()
-            flat[idx] = orig - eps
+            arr[idx] = orig - eps
             lm = loss_fn()
-            flat[idx] = orig
+            arr[idx] = orig
             grad[idx] = (lp - lm) / (2 * eps)
-        out[name] = grad.reshape(arr.shape)
+        out[name] = grad
     return out
+
+
+def layer_grads(tape, upstream):
+    """One layer's backward into a zeroed table: (parameter grads, input-state grads)."""
+    grads = {name: np.zeros_like(a) for name, a in named_arrays(tape.params).items()}
+    return grads, lrbp_backward(tape, upstream, grads)
 
 
 class TestBackward:
@@ -235,24 +240,41 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         g, p, h = self.make_case()
         _, tape = lrbp_forward(h, g, p)
-        bundle = lrbp_backward(tape, np.zeros_like(h.values))
-        assert all(np.all(v == 0) for v in bundle.by_name.values())
-        assert np.all(bundle.input_states == 0)
+        grads, dh = layer_grads(tape, np.zeros_like(h.values))
+        assert all(np.all(v == 0) for v in grads.values())
+        assert np.all(dh == 0)
+
+    def test_backward_adds_into_callers_table(self):
+        g, p, h = self.make_case(seed=2)
+        _, tape = lrbp_forward(h, g, p)
+        up = np.random.default_rng(4).standard_normal(h.values.shape)
+        fresh, dh = layer_grads(tape, up)
+        table = {name: np.ones_like(a) for name, a in named_arrays(p).items()}
+        arrays = dict(table)
+        assert np.array_equal(lrbp_backward(tape, up, table), dh)
+        for name, a in table.items():
+            assert a is arrays[name], name  # added in place, not replaced
+            assert np.array_equal(a, 1.0 + fresh[name]), name
+        # a stack adds every layer into the same table; no layers adds nothing
+        assert backward_stack([], up, table) is up
+        assert np.array_equal(backward_stack([tape], up, table), dh)
+        for name, a in table.items():
+            assert np.array_equal(a, 1.0 + fresh[name] + fresh[name]), name
 
     def test_first_layer_bias_zero_when_output_layer_zeroed(self):
         g, p, h = self.make_case()
         p = zero_mlp_output(p)
         _, tape = lrbp_forward(h, g, p)
-        bundle = lrbp_backward(tape, np.ones_like(h.values))
-        assert np.all(bundle.by_name["mlp/b1"] == 0)
+        grads, _ = layer_grads(tape, np.ones_like(h.values))
+        assert np.all(grads["mlp/b1"] == 0)
 
     def test_first_layer_bias_closed_form_and_fd(self):
         # loss = sum of output entries; dL/db1 = sum_i relu'(z_i) * (w2^T 1)
         g, p, h = self.make_case(seed=3)
         _, tape = lrbp_forward(h, g, p)
-        bundle = lrbp_backward(tape, np.ones_like(h.values))
-        closed = ((tape.z > 0) * (p.w2.T @ np.ones(p.d_h))).sum(axis=0)
-        np.testing.assert_allclose(bundle.by_name["mlp/b1"], closed, atol=1e-12)
+        grads, _ = layer_grads(tape, np.ones_like(h.values))
+        closed = ((tape.z > 0) * (p.arrays["mlp/w2"].T @ np.ones(p.d_h))).sum(axis=0)
+        np.testing.assert_allclose(grads["mlp/b1"], closed, atol=1e-12)
 
         def loss():
             out, _ = lrbp_forward(h, g, p)
@@ -266,14 +288,14 @@ class TestBackward:
         g, p, h = self.make_case(seed=5)
         _, tape = lrbp_forward(h, g, p)
         out, _ = lrbp_forward(h, g, p)
-        bundle = lrbp_backward(tape, 2.0 * out.values)
+        grads, _ = layer_grads(tape, 2.0 * out.values)
 
         def loss():
             cur, _ = lrbp_forward(h, g, p)
             return float(np.sum(cur.values**2))
 
         fd = fd_loss_grads(loss, p)
-        for name, ana in bundle.by_name.items():
+        for name, ana in grads.items():
             rel = np.abs(fd[name] - ana) / np.maximum.reduce(
                 [np.abs(fd[name]), np.abs(ana), np.full_like(ana, 1e-3)]
             )
@@ -283,7 +305,7 @@ class TestBackward:
         g, p, h = self.make_case(seed=6)
         _, tape = lrbp_forward(h, g, p)
         out, _ = lrbp_forward(h, g, p)
-        bundle = lrbp_backward(tape, 2.0 * out.values)
+        _, dh = layer_grads(tape, 2.0 * out.values)
         eps = 1e-6
         vals = h.values
         fd = np.zeros_like(vals)
@@ -296,7 +318,7 @@ class TestBackward:
                 lm = float(np.sum(lrbp_forward(HiddenStates(vals), g, p)[0].values ** 2))
                 vals[i, k] = orig
                 fd[i, k] = (lp - lm) / (2 * eps)
-        rel = np.abs(fd - bundle.input_states) / np.maximum(np.abs(fd), 1e-3)
+        rel = np.abs(fd - dh) / np.maximum(np.abs(fd), 1e-3)
         assert rel.max() < 1e-4
 
     def test_shared_slots_accumulate(self):
@@ -305,11 +327,11 @@ class TestBackward:
         g_shared = lowrank_graph(4, scopes, slot_lists=[("x", "y"), ("x", "y")])
         g_split = lowrank_graph(4, scopes, slot_lists=[("x1", "y1"), ("x2", "y2")])
         base = init_layer_params(["x", "y"], d_h=3, rank=2, seed=9)
-        split_named = dict(named_arrays(init_layer_params(["x1", "y1", "x2", "y2"], d_h=3, rank=2, seed=9)))
+        split_named = named_arrays(init_layer_params(["x1", "y1", "x2", "y2"], d_h=3, rank=2, seed=9))
         for src, dsts in (("x", ("x1", "x2")), ("y", ("y1", "y2"))):
             for dst in dsts:
-                split_named[f"slot/{dst}/w_in"] = base.slots[src].w_in.copy()
-                split_named[f"slot/{dst}/w_out"] = base.slots[src].w_out.copy()
+                for mat in ("w_in", "w_out"):
+                    split_named[f"slot/{dst}/{mat}"] = base.arrays[f"slot/{src}/{mat}"].copy()
         p_split = replace_arrays(
             init_layer_params(["x1", "y1", "x2", "y2"], d_h=3, rank=2, seed=9), split_named
         )
@@ -317,8 +339,8 @@ class TestBackward:
         up = np.random.default_rng(11).standard_normal((4, 3))
         _, tape_a = lrbp_forward(h, g_shared, base)
         _, tape_b = lrbp_forward(h, g_split, p_split)
-        ga = lrbp_backward(tape_a, up).by_name
-        gb = lrbp_backward(tape_b, up).by_name
+        ga, _ = layer_grads(tape_a, up)
+        gb, _ = layer_grads(tape_b, up)
         for src, dsts in (("x", ("x1", "x2")), ("y", ("y1", "y2"))):
             for mat in ("w_in", "w_out"):
                 summed = gb[f"slot/{dsts[0]}/{mat}"] + gb[f"slot/{dsts[1]}/{mat}"]
@@ -328,7 +350,7 @@ class TestBackward:
         g, p, h = self.make_case()
         _, tape = lrbp_forward(h, g, p)
         with pytest.raises(ValueError, match="upstream"):
-            lrbp_backward(tape, np.zeros((2, 2)))
+            lrbp_backward(tape, np.zeros((2, 2)), named_arrays(p))
 
 
 def high_arity_graph():
@@ -355,8 +377,8 @@ class TestGradCheck:
     def test_linear_regime_is_tight(self):
         # push all pre-activations far above 0: locally smooth everywhere
         g, p = self.make_case(1)
-        named = dict(named_arrays(p))
-        named["mlp/b1"] = np.full_like(p.b1, 5.0)
+        named = named_arrays(p)
+        named["mlp/b1"] = np.full_like(named["mlp/b1"], 5.0)
         p = replace_arrays(p, named)
         # With every ReLU on and one layer, the output is affine in each
         # parameter coordinate, so the loss is exactly quadratic along it and
@@ -371,14 +393,29 @@ class TestGradCheck:
         assert result.skipped == 0
         assert result.max_relative_error < 1e-6
 
+    def test_fortran_ordered_array_checked_like_c_ordered(self):
+        # grad_check must perturb the array itself: ravel() of a Fortran-ordered
+        # array is a copy, and perturbing the copy reads a zero difference
+        g = lowrank_graph(3, [(0, 1, 2)])
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=0)
+        named = named_arrays(p)
+        named["mlp/w1"] = np.asfortranarray(named["mlp/w1"])
+        p_f = replace_arrays(p, named)
+        assert not p_f.arrays["mlp/w1"].flags.c_contiguous
+        c_order, f_order = grad_check(g, p, seed=0, layers=1), grad_check(g, p_f, seed=0, layers=1)
+        assert (f_order.checked, f_order.skipped) == (c_order.checked, c_order.skipped)
+        # equal up to the matmul's rounding, which may depend on the memory order
+        assert c_order.max_relative_error < 1e-6
+        assert f_order.max_relative_error == pytest.approx(c_order.max_relative_error, abs=1e-8)
+
     def test_kink_coordinates_skipped(self):
         # b1[0] sits within eps of the ReLU kink; its own perturbation
         # flips the activation mask and must be excluded
         g = lowrank_graph(2, [(0, 1)], slot_lists=[("s", "s")])
         p = init_layer_params(["s"], d_h=2, rank=2, seed=2)
-        named = dict(named_arrays(p))
-        named["slot/s/w_out"] = np.zeros_like(p.slots["s"].w_out)
-        named["mlp/w1"] = np.zeros_like(p.w1)
+        named = named_arrays(p)
+        named["slot/s/w_out"] = np.zeros_like(named["slot/s/w_out"])
+        named["mlp/w1"] = np.zeros_like(named["mlp/w1"])
         named["mlp/b1"] = np.array([1e-7, 1.0, 1.0, 1.0])
         p = replace_arrays(p, named)
         result = grad_check(g, p, seed=2, eps=1e-5, layers=1)
@@ -387,6 +424,20 @@ class TestGradCheck:
 
 
 class TestInit:
+    def test_named_arrays_is_a_new_table_over_the_same_arrays(self):
+        p = init_layer_params(["a/w_in", "b"], d_h=3, rank=2, seed=1)
+        assert p.slots == ["a/w_in", "b"]
+        assert list(p.arrays) == ["slot/a/w_in/w_in", "slot/a/w_in/w_out", "slot/b/w_in",
+                                  "slot/b/w_out", "mlp/w1", "mlp/b1", "mlp/w2", "mlp/b2",
+                                  "readout/w", "readout/b"]
+        named = named_arrays(p)
+        assert named is not p.arrays
+        assert all(named[k] is a for k, a in p.arrays.items())
+        w1 = named["mlp/w1"]
+        named["mlp/w1"] = np.zeros_like(w1)
+        del named["readout/b"]
+        assert p.arrays["mlp/w1"] is w1 and "readout/b" in p.arrays
+
     def test_mlp_and_readout_independent_of_slot_count(self):
         a = named_arrays(init_layer_params(["x"], d_h=3, rank=2, out_dim=2, seed=9))
         b = named_arrays(init_layer_params(["x1", "y1", "x2", "y2"], d_h=3, rank=2, out_dim=2, seed=9))
@@ -399,7 +450,8 @@ class TestReadout:
         p = init_layer_params(["s"], d_h=3, rank=2, out_dim=2, seed=4)
         state = np.array([0.5, -1.0, 2.0])
         h = HiddenStates(np.tile(state, (5, 1)))
-        np.testing.assert_allclose(readout(h, p), p.w_ro @ state + p.b_ro, atol=1e-15)
+        np.testing.assert_allclose(readout(h, p), p.arrays["readout/w"] @ state + p.arrays["readout/b"],
+                                   atol=1e-15)
 
     def test_permutation_invariant_bitwise(self):
         p = init_layer_params(["s"], d_h=3, rank=2, seed=5)
@@ -460,26 +512,28 @@ class TestTrainStep:
         h_t, _ = forward_stack(h0, g, p, layers=3)
         assert loss == float(np.mean(np.abs(readout(h_t, p) - target)))
 
-    def test_train_grads_match_fd(self):
+    def adam_grads(self, monkeypatch, batch, p, layers=3):
+        """The gradients train_step hands to adam_step, and its loss."""
+        seen = {}
+        real = neural.adam_step
+
+        def spy(named, grads, state, lr):
+            seen.update({k: v.copy() for k, v in grads.items()})
+            return real(named, grads, state, lr)
+
+        monkeypatch.setattr(neural, "adam_step", spy)
+        new_p, _, loss = train_step(batch, p, None, lr=1e-3, layers=layers)
+        assert list(seen) == list(named_arrays(p))
+        return seen, new_p, loss
+
+    def test_train_grads_match_fd(self, monkeypatch):
         g, p, h0 = self.make_sample(seed=2)
         target = np.array([0.7])
+        grads, _, _ = self.adam_grads(monkeypatch, [(g, h0, target)], p)
 
         def loss():
             h_t, _ = forward_stack(h0, g, p, layers=3)
-            pred = p.w_ro @ h_t.values.mean(axis=0) + p.b_ro
-            return float(np.mean(np.abs(pred - target)))
-
-        # replicate the train_step gradient assembly
-        h_t, tapes = forward_stack(h0, g, p, layers=3)
-        mean = h_t.values.mean(axis=0)
-        pred = p.w_ro @ mean + p.b_ro
-        resid = pred - target
-        dpred = np.sign(resid) / resid.size
-        upstream = np.tile((p.w_ro.T @ dpred) / 4, (4, 1))
-        bundle = backward_stack(tapes, upstream)
-        grads = dict(bundle.by_name)
-        grads["readout/w"] = grads["readout/w"] + np.outer(dpred, mean)
-        grads["readout/b"] = grads["readout/b"] + dpred
+            return float(np.mean(np.abs(readout(h_t, p) - target)))
 
         fd = fd_loss_grads(loss, p)
         for name, ana in grads.items():
@@ -487,6 +541,23 @@ class TestTrainStep:
                 [np.abs(fd[name]), np.abs(ana), np.full_like(ana, 1e-3)]
             )
             assert rel.max() < 1e-4, name
+
+    def test_zero_layers_fits_only_the_readout(self, monkeypatch):
+        # no layer runs: the readout is fitted on the mean input state
+        g = lowrank_graph(3, [(0, 1, 2)])
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=6)
+        h0 = HiddenStates(np.random.default_rng(7).standard_normal((3, 3)))
+        target = np.array([0.4])
+        grads, new_p, loss = self.adam_grads(monkeypatch, [(g, h0, target)], p, layers=0)
+        assert np.isfinite(loss)
+        assert loss == float(np.mean(np.abs(readout(h0, p) - target)))
+        before, after = named_arrays(p), named_arrays(new_p)
+        for name, arr in before.items():
+            if name.startswith("readout/"):
+                assert not np.array_equal(after[name], arr), name
+            else:
+                assert np.all(grads[name] == 0), name
+                assert same_bits(after[name], arr), name
 
     def test_overfit_single_sample(self):
         g, p, h0 = self.make_sample(seed=3)
@@ -628,11 +699,10 @@ class TestCheckpoint:
         doc = {
             "d_h": 3,
             "rank": 2,
-            "slots": {sid: {"w_in": sp.w_in.tolist(), "w_out": sp.w_out.tolist()}
-                      for sid, sp in p.slots.items()},
-            "mlp": {"w1": p.w1.tolist(), "b1": p.b1.tolist(), "w2": p.w2.tolist(),
-                    "b2": p.b2.tolist()},
-            "readout": {"w": p.w_ro.tolist(), "b": p.b_ro.tolist()},
+            "slots": {sid: {w: p.arrays[f"slot/{sid}/{w}"].tolist() for w in ("w_in", "w_out")}
+                      for sid in p.slots},
+            "mlp": {w: p.arrays[f"mlp/{w}"].tolist() for w in ("w1", "b1", "w2", "b2")},
+            "readout": {w: p.arrays[f"readout/{w}"].tolist() for w in ("w", "b")},
             "optimizer": None,
         }
         file = tmp_path / "ckpt.json"
