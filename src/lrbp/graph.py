@@ -9,9 +9,9 @@ Edge order: edge offs[a] + k is slot k of factor a, joining it to variable
 scope[k]. LBP and the neural layer keep one message per edge in this order.
 `FactorGraph.layout` holds the edge arrays, and its degree buckets are the
 graph's only variable-to-factor adjacency; `FactorGraph.slots` holds the
-neural layer's slot index. Each is built on first use, once per graph,
-deterministically from the frozen factors only, so concurrent first reads
-are safe: at worst two threads build equal copies.
+neural layer's slot index, its slots grouped by edge count. Each is built on
+first use, once per graph, deterministically from the frozen factors only, so
+concurrent first reads are safe: at worst two threads build equal copies.
 """
 from __future__ import annotations
 
@@ -89,16 +89,19 @@ class FactorGraph:
         )
 
     @cached_property
-    def slots(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """(slot id, edges) per slot id in first-appearance order: the per-edge
-        slot index of the neural layer, built when it first asks. Kept apart
+    def slots(self) -> SlotIndex:
+        """The neural layer's slot index, built when it first asks. Kept apart
         from `layout`, so that listing the slot ids builds no edge arrays.
         Raises as `factor_slots` does."""
         index: dict[str, int] = {}
         slot = np.array([index.setdefault(sid, len(index)) for a in range(len(self.factors))
                          for sid in factor_slots(self, a)], dtype=np.intp)
-        order = _read_only(np.argsort(slot, kind="stable"))  # so its per-slot views are too
-        return tuple(zip(index, np.split(order, np.cumsum(np.bincount(slot))[:-1])))
+        return SlotIndex(
+            ids=tuple(index),
+            slot=_read_only(slot),
+            # a stable sort keeps each slot's edges in edge order
+            groups=_groups_by_size(np.bincount(slot), np.argsort(slot, kind="stable")),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +114,17 @@ class EdgeLayout:
     offs: np.ndarray  # (F,) first edge of each factor
     arities: tuple  # ((F_n,) factors, (F_n, n) edges) per arity n
     buckets: tuple  # ((V,) variables, (V, D) edges) per degree D, each row in factor order
+
+
+@dataclass(frozen=True, eq=False)
+class SlotIndex:
+    """The parameter slots of one graph's edges. Slots with the same edge
+    count c form one group, so that the neural layer handles a group with one
+    batched matmul over (S_c, c, d_h) rows. Every array is read-only."""
+
+    ids: tuple[str, ...]  # (S,) slot ids in first-appearance order
+    slot: np.ndarray  # (E,) index into `ids` of each edge's slot
+    groups: tuple  # ((S_c,) slots, (S_c, c) edges) per edge count c, each row in edge order
 
 
 def _groups_by_size(sizes: np.ndarray, edges: np.ndarray) -> tuple:

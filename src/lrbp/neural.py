@@ -8,11 +8,12 @@ parameter slot carries a doubled pair of matrices: W_in transforms before the
 Hadamard product, W_out after.
 
 A layer runs on the graph's edge arrays (`g.layout`, in the edge order that
-`lrbp.graph` defines), with one matmul per used slot and the shared
-`tensors.leave_one_out` kernel per arity group; each node sums its messages
+`lrbp.graph` defines): one batched matmul over the stacked slot matrices per
+group of slots with the same edge count (`g.slots.groups`), the shared
+`tensors.leave_one_out` kernel per arity group, and each node sums its messages
 over its row of the layout's degree buckets. Its hand-derived backward takes
-the leave-two-out products from the same kernel, never by division. Parameters
-are read-only during a step; all update functions return fresh structures.
+the leave-two-out sums from `tensors.leave_one_out_tangent`, never by division.
+Parameters are read-only during a step; all update functions return fresh structures.
 
 A `LayerParams` holds its arrays in one table, keyed by name (see
 `LayerParams`). Gradients, Adam moments and checkpoints use the same names:
@@ -29,7 +30,7 @@ import numpy as np
 
 # factor_slots is re-exported: callers look the slot rule up here
 from .graph import FactorGraph, factor_slots  # noqa: F401
-from .tensors import leave_one_out
+from .tensors import leave_one_out, leave_one_out_tangent
 
 
 @dataclass(frozen=True)
@@ -52,31 +53,24 @@ class LayerParams:
 
     `arrays` maps each name to its array, in this order:
 
-        slot/<id>/w_in, slot/<id>/w_out  (d_h, R)       per slot, in slot order
-        mlp/w1                           (d_mlp, d_h)
-        mlp/b1                           (d_mlp,)
-        mlp/w2                           (d_h, d_mlp)
-        mlp/b2                           (d_h,)
-        readout/w                        (out_dim, d_h)  readout affine map
-        readout/b                        (out_dim,)
-
-    A slot id may contain "/"; the slot ids are read back from the table.
+        slot/w_in, slot/w_out  (S, d_h, R)     row k is slot slot_ids[k]
+        mlp/w1                 (d_mlp, d_h)
+        mlp/b1                 (d_mlp,)
+        mlp/w2                 (d_h, d_mlp)
+        mlp/b2                 (d_h,)
+        readout/w              (out_dim, d_h)  readout affine map
+        readout/b              (out_dim,)
     """
 
     d_h: int
     rank: int
+    slot_ids: tuple[str, ...]
     arrays: dict[str, np.ndarray]
-
-    @property
-    def slots(self) -> list[str]:
-        """The slot ids, in table order."""
-        return [name[len("slot/"):-len("/w_in")] for name in self.arrays
-                if name.startswith("slot/") and name.endswith("/w_in")]
 
 
 def graph_slot_ids(g: FactorGraph) -> list[str]:
     """All slot ids of a graph in first-appearance order, deduplicated."""
-    return [sid for sid, _ in g.slots]
+    return list(g.slots.ids)
 
 
 def init_layer_params(
@@ -93,20 +87,21 @@ def init_layer_params(
 
     Slots, MLP and readout each draw from their own child stream of
     `SeedSequence(seed)`, so for a given seed the MLP and readout arrays do
-    not depend on the slot ids, and slot k's matrices do not depend on the
-    slots after it.
+    not depend on the slot ids, and slot k's matrices (w_in, then w_out) do
+    not depend on the slots after it. A repeated slot id counts once.
     """
+    slot_ids = tuple(dict.fromkeys(slot_ids))
     d_mlp = 2 * d_h if d_mlp is None else d_mlp
     slot_rng, mlp_rng, ro_rng = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)
     )
     s = 1.0 / np.sqrt(rank)
-    slots = {f"slot/{sid}/{w}": slot_rng.uniform(-s, s, size=(d_h, rank))
-             for sid in slot_ids for w in ("w_in", "w_out")}
+    draws = slot_rng.uniform(-s, s, size=(len(slot_ids), 2, d_h, rank))
     s1 = 1.0 / np.sqrt(d_h)
     s2 = 1.0 / np.sqrt(d_mlp)
-    return LayerParams(d_h, rank, {
-        **slots,
+    return LayerParams(d_h, rank, slot_ids, {
+        "slot/w_in": draws[:, 0].copy(),
+        "slot/w_out": draws[:, 1].copy(),
         "mlp/w1": mlp_rng.uniform(-s1, s1, size=(d_mlp, d_h)),
         "mlp/b1": mlp_rng.uniform(-s1, s1, size=d_mlp),
         "mlp/w2": mlp_rng.uniform(-s2, s2, size=(d_h, d_mlp)),
@@ -117,14 +112,14 @@ def init_layer_params(
 
 
 def named_arrays(p: LayerParams) -> dict[str, np.ndarray]:
-    """A new name -> array dict over p's arrays (shared slots appear once), in
-    table order; editing the dict leaves p unchanged."""
+    """A new name -> array dict over p's arrays, in table order; editing the
+    dict leaves p unchanged."""
     return dict(p.arrays)
 
 
 def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
     """The LayerParams with p's names, in p's order, and the arrays of `named`."""
-    return LayerParams(p.d_h, p.rank, {name: named[name] for name in p.arrays})
+    return LayerParams(p.d_h, p.rank, p.slot_ids, {name: named[name] for name in p.arrays})
 
 
 @dataclass
@@ -134,6 +129,7 @@ class Tape:
     params: LayerParams
     h_in: np.ndarray
     graph: FactorGraph  # its layout and slots index the edge arrays below
+    rows: np.ndarray  # (S,): the row of params' slot arrays of each slot of graph.slots
     u: np.ndarray  # (E, R): W_in^T h of each edge's node
     loo: np.ndarray  # (E, R): Hadamard product of the other slots' u in its factor
     agg: np.ndarray
@@ -155,23 +151,27 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("non-finite input hidden states")
 
-    lay = g.layout
-    w = p.arrays
-    for sid, e in g.slots:  # first-appearance order, so the first bad edge raises
-        if f"slot/{sid}/w_in" not in w:
-            raise ValueError(f"factor {lay.fac[e[0]]}: unmapped slot id {sid!r}")
+    lay, w, sids = g.layout, p.arrays, g.slots.ids
+    # rows[k]: the row of p's slot arrays for g's slot k, by one sort of both id lists
+    names, codes = np.unique(np.array(p.slot_ids + sids, dtype=str), return_inverse=True)
+    row = np.full(names.size, -1)
+    row[codes[:len(p.slot_ids)]] = np.arange(len(p.slot_ids))
+    rows = row[codes[len(p.slot_ids):]]
+    if np.any(rows < 0):  # sids are in first-appearance order, so the first bad edge is named
+        k = np.flatnonzero(rows < 0)[0]
+        raise ValueError(f"factor {lay.fac[g.slots.slot == k][0]}: unmapped slot id {sids[k]!r}")
     var = lay.var
     u = np.empty((var.size, p.rank))
     loo = np.empty_like(u)
     msg = np.empty((var.size, p.d_h))
     # overflow shows as the non-finite message below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for sid, e in g.slots:
-            u[e] = values[var[e]] @ w[f"slot/{sid}/w_in"]
+        for s, e in g.slots.groups:  # (S_c, c, d_h) @ (S_c, d_h, R)
+            u[e] = values[var[e]] @ w["slot/w_in"][rows[s]]
         for _, ids in lay.arities:
             loo[ids] = leave_one_out(u[ids], axis=1)
-        for sid, e in g.slots:
-            msg[e] = loo[e] @ w[f"slot/{sid}/w_out"].T
+        for s, e in g.slots.groups:
+            msg[e] = loo[e] @ w["slot/w_out"][rows[s]].transpose(0, 2, 1)
     bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
     if bad.size:
         raise FloatingPointError(
@@ -185,7 +185,7 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     r = np.maximum(z, 0.0)
     out = r @ w["mlp/w2"].T + w["mlp/b2"]
     new_values = values + out
-    tape = Tape(params=p, h_in=values, graph=g, u=u, loo=loo, agg=agg, z=z, r=r)
+    tape = Tape(params=p, h_in=values, graph=g, rows=rows, u=u, loo=loo, agg=agg, z=z, r=r)
     return HiddenStates(new_values, h.t + 1), tape
 
 
@@ -195,10 +195,10 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
 
     `upstream` is the loss gradient w.r.t. the layer's output states. The
     parameter gradients are added in place into `grads`, the caller's table
-    keyed like named_arrays. The gradient of loo_k w.r.t. u_l (l != k) is the
-    product over the slots other than k and l, taken by the same leave-one-out
-    kernel with u_k set to 1 (no division by possibly-zero factors). Shared
-    slot ids accumulate.
+    keyed like named_arrays; each slot adds into its row. The gradient w.r.t.
+    u_l sums dloo_k times the product over the slots other than k and l, for
+    k != l, in one `leave_one_out_tangent` pass (no division by possibly-zero
+    factors). Overflow shows as non-finite values, not as numpy warnings.
     """
     w = tape.params.arrays
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -206,37 +206,28 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != states shape {tape.h_in.shape}"
         )
-    # MLP backward
-    grads["mlp/b2"] += upstream.sum(axis=0)
-    grads["mlp/w2"] += upstream.T @ tape.r
-    dz = (upstream @ w["mlp/w2"]) * (tape.z > 0)
-    grads["mlp/b1"] += dz.sum(axis=0)
-    grads["mlp/w1"] += dz.T @ tape.agg
-    dagg = dz @ w["mlp/w1"]
-
-    g = tape.graph
-    var = g.layout.var
-    dmsg = dagg[var]
-    dloo = np.empty_like(tape.loo)
-    for sid, e in g.slots:
-        grads[f"slot/{sid}/w_out"] += dmsg[e].T @ tape.loo[e]
-        dloo[e] = dmsg[e] @ w[f"slot/{sid}/w_out"]
-    du = np.empty_like(tape.u)
-    for _, ids in g.layout.arities:
-        diag = np.arange(ids.shape[1])
-        # pairs[f, k, l] = product over the slots m != k, l of factor f
-        pairs = np.repeat(tape.u[ids][:, None], diag.size, axis=1)
-        pairs[:, diag, diag] = 1.0
-        pairs = leave_one_out(pairs, axis=2)
-        pairs[:, diag, diag] = 0.0
-        du[ids] = np.einsum("fkr,fklr->flr", dloo[ids], pairs)
-    dh_edge = np.empty_like(dmsg)
-    for sid, e in g.slots:
-        grads[f"slot/{sid}/w_in"] += tape.h_in[var[e]].T @ du[e]
-        dh_edge[e] = du[e] @ w[f"slot/{sid}/w_in"].T
-    dh = upstream.copy()  # residual path
-    for vs, e in g.layout.buckets:
-        dh[vs] += dh_edge[e].sum(axis=1)
+    g, rows, var = tape.graph, tape.rows, tape.graph.layout.var
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads["mlp/b2"] += upstream.sum(axis=0)
+        grads["mlp/w2"] += upstream.T @ tape.r
+        dz = (upstream @ w["mlp/w2"]) * (tape.z > 0)
+        grads["mlp/b1"] += dz.sum(axis=0)
+        grads["mlp/w1"] += dz.T @ tape.agg
+        dmsg = (dz @ w["mlp/w1"])[var]
+        dloo = np.empty_like(tape.loo)
+        for s, e in g.slots.groups:
+            grads["slot/w_out"][rows[s]] += dmsg[e].transpose(0, 2, 1) @ tape.loo[e]
+            dloo[e] = dmsg[e] @ w["slot/w_out"][rows[s]]
+        du = np.empty_like(tape.u)
+        for _, ids in g.layout.arities:
+            du[ids] = leave_one_out_tangent(tape.u[ids], dloo[ids], axis=1)
+        dh_edge = np.empty_like(dmsg)
+        for s, e in g.slots.groups:
+            grads["slot/w_in"][rows[s]] += tape.h_in[var[e]].transpose(0, 2, 1) @ du[e]
+            dh_edge[e] = du[e] @ w["slot/w_in"][rows[s]].transpose(0, 2, 1)
+        dh = upstream.copy()  # residual path
+        for vs, e in g.layout.buckets:
+            dh[vs] += dh_edge[e].sum(axis=1)
     return dh
 
 
@@ -287,6 +278,8 @@ def grad_check(
     The loss difference is formed from the two output arrays o+ and o-, as
     sum((o+ - o-) * (o+ + o-)) / (2 eps), which equals the difference of the
     two summed losses but does not cancel two large sums against each other.
+    `worst_param` is named as `mlp/w1[<C-order index>]`, or in a slot array
+    as `slot/w_in[<slot id>][<C-order index in that slot's matrix>]`.
     """
     rng = np.random.default_rng(seed)
     h0 = HiddenStates(rng.standard_normal((g.num_vars, p.d_h)))
@@ -304,8 +297,7 @@ def grad_check(
     checked = 0
     skipped = 0
     for name, arr in p.arrays.items():
-        # perturb the array itself (ravel() copies a non-C-contiguous one);
-        # `flat` is the C-order index that worst_param reports
+        # perturb the array itself (ravel() copies a non-C-contiguous one)
         for flat, idx in enumerate(np.ndindex(arr.shape)):
             orig = arr[idx]
             arr[idx] = orig + eps
@@ -322,7 +314,8 @@ def grad_check(
             checked += 1
             if rel > worst:
                 worst = rel
-                worst_name = f"{name}[{flat}]"
+                worst_name = (f"{name}[{p.slot_ids[idx[0]]}][{flat % (p.d_h * p.rank)}]"
+                              if name.startswith("slot/") else f"{name}[{flat}]")
     return GradCheckResult(worst, worst_name, checked, skipped)
 
 
@@ -393,12 +386,13 @@ def train_step(
     `batch` is a sequence of (graph, HiddenStates, target) triples. Runs
     `layers` forward passes, the readout, and the hand-derived backward;
     gradients accumulate over the batch in order into one table; with
-    `layers=0` only the readout is fitted, on the mean input state. A
-    non-finite loss aborts the step with parameters unchanged and returns the
-    optimizer state it was given. A `FloatingPointError` from the forward pass
-    of any graph (a non-finite message or input) counts as a non-finite loss:
-    the loss is NaN. An empty batch, or a graph without nodes, raises ValueError before
-    any forward pass. Returns (params, opt_state, loss).
+    `layers=0` only the readout is fitted, on the mean input state. A step
+    whose loss, gradients or new Adam second moments (squared gradients) are
+    not finite, or whose forward pass raises `FloatingPointError` on any graph
+    (a non-finite message or input), aborts: it returns the parameters and
+    optimizer state it was given, and loss NaN. An empty batch, or a graph
+    without nodes, raises ValueError before any forward pass. Returns
+    (params, opt_state, loss).
     """
     if not batch or any(g.num_vars == 0 for g, _, _ in batch):
         raise ValueError("train_step needs a non-empty batch of non-empty graphs")
@@ -421,21 +415,22 @@ def train_step(
         backward_stack(tapes, np.tile(dmean / n_nodes, (n_nodes, 1)), grads)
     scale = 1.0 / len(batch)
     total_loss *= scale
-    if not np.isfinite(total_loss):
-        return p, opt_state, total_loss
     grads = {k: v * scale for k, v in grads.items()}
-    new_named, new_state = adam_step(named, grads, opt_state or adam_init(named), lr)
+    with np.errstate(over="ignore", invalid="ignore"):  # v is checked instead
+        new_named, new_state = adam_step(named, grads, opt_state or adam_init(named), lr)
+    if not (np.isfinite(total_loss) and all(np.isfinite(v).all() for v in new_state.v.values())):
+        return p, opt_state, float("nan")
     return replace_arrays(p, new_named), new_state, total_loss
 
 
 def save_checkpoint(p: LayerParams, path, opt_state: AdamState | None = None) -> None:
     """JSON checkpoint; float round-trip is exact. The file holds `d_h`, `rank`,
-    `slots` (the slot ids in order), `arrays` (named_arrays(p)) and `optimizer`:
-    null, or the Adam `step` and the moments `m` and `v`, keyed like `arrays`."""
+    `slots` (p.slot_ids), `arrays` (named_arrays(p)) and `optimizer`: null, or
+    the Adam `step` and the moments `m` and `v`, keyed like `arrays`."""
     doc = {
         "d_h": p.d_h,
         "rank": p.rank,
-        "slots": p.slots,
+        "slots": list(p.slot_ids),
         "arrays": {name: a.tolist() for name, a in named_arrays(p).items()},
         "optimizer": None if opt_state is None else {
             "step": opt_state.step,
@@ -452,8 +447,9 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
 
     A missing or malformed entry raises ValueError naming it (a field by its
     key, an array by its named_arrays name, a moment as optimizer/<m|v>/<name>),
-    and so does an array or moment whose shape disagrees with d_h, rank, the MLP
-    width (the length of mlp/b1) or the readout width (the length of readout/b)."""
+    and so does an array or moment whose shape disagrees with the slot count,
+    d_h, rank, the MLP width (the length of mlp/b1) or the readout width (the
+    length of readout/b). A checkpoint with one array per slot lacks slot/w_in."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -471,28 +467,32 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
     def ids(x):
         if not isinstance(x, list) or not all(isinstance(sid, str) for sid in x):
             raise TypeError("expected a list of slot id strings")
-        return x
+        return tuple(x)
 
     d_h, rank = field(int, doc, "d_h"), field(int, doc, "rank")
     slot_ids = field(ids, doc, "slots")
     arrays = field(dict, doc, "arrays")
-    names = [f"slot/{sid}/{w}" for sid in slot_ids for w in ("w_in", "w_out")]
-    names += ["mlp/w1", "mlp/b1", "mlp/w2", "mlp/b2", "readout/w", "readout/b"]
-    named = {name: field(arr, arrays, name) for name in names}
-    opt = doc.get("optimizer")
-    moments = []
-    if opt is not None:
-        for key in "mv":
-            moment = field(dict, opt, key, "optimizer/")
-            moments.append({name: field(arr, moment, name, f"optimizer/{key}/") for name in named})
-    d_mlp, out_dim = named["mlp/b1"].size, named["readout/b"].size
-    want = {"mlp/w1": (d_mlp, d_h), "mlp/b1": (d_mlp,), "mlp/w2": (d_h, d_mlp),
-            "mlp/b2": (d_h,), "readout/w": (out_dim, d_h), "readout/b": (out_dim,)}
-    for name, a in named.items():
-        shape = want.get(name, (d_h, rank))  # the rest are slot matrices
-        checked = [("array", a)] + [(f"optimizer {k} of", m[name]) for k, m in zip("mv", moments)]
-        for what, x in checked:
+    d_mlp, out_dim = field(arr, arrays, "mlp/b1").size, field(arr, arrays, "readout/b").size
+    slot = (len(slot_ids), d_h, rank)
+    want = {"slot/w_in": slot, "slot/w_out": slot, "mlp/w1": (d_mlp, d_h), "mlp/b1": (d_mlp,),
+            "mlp/w2": (d_h, d_mlp), "mlp/b2": (d_h,), "readout/w": (out_dim, d_h),
+            "readout/b": (out_dim,)}
+
+    def table(node, prefix, what):
+        out = {}
+        for name, shape in want.items():
+            x = field(arr, node, name, prefix)
+            if x.size == 0 and 0 in shape:  # JSON keeps no shape for an empty array
+                x = x.reshape(shape)
             if x.shape != shape:
-                raise ValueError(f"checkpoint {what} {name} has shape {x.shape}, expected {shape}")
-    p = LayerParams(d_h, rank, named)
-    return p, None if opt is None else AdamState(field(int, opt, "step", "optimizer/"), *moments)
+                raise ValueError(f"checkpoint {what}{name} has shape {x.shape}, expected {shape}")
+            out[name] = x
+        return out
+
+    p = LayerParams(d_h, rank, slot_ids, table(arrays, "", "array "))
+    opt = doc.get("optimizer")
+    if opt is None:
+        return p, None
+    moments = [table(field(dict, opt, k, "optimizer/"), f"optimizer/{k}/", f"optimizer {k} of ")
+               for k in "mv"]
+    return p, AdamState(field(int, opt, "step", "optimizer/"), *moments)

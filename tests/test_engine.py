@@ -470,8 +470,8 @@ class TestEdgeLayout:
         _, tapes = forward_stack(HiddenStates(np.ones((g.num_vars, 3))), g, p, layers=3)
         assert len(builds) == 1 and all(t.graph is g for t in tapes)
         lay = g.layout
-        arrays = [lay.var, lay.fac, lay.offs, *(x for group in lay.arities + lay.buckets
-                                                for x in group), *(e for _, e in g.slots)]
+        arrays = [lay.var, lay.fac, lay.offs, g.slots.slot,
+                  *(x for group in lay.arities + lay.buckets + g.slots.groups for x in group)]
         assert not any(x.flags.writeable for x in arrays)
 
 

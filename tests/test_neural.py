@@ -45,6 +45,12 @@ def lowrank_graph(num_vars, scopes, slot_lists=None, d=2, rank=2, seed=0):
     return build_graph(num_vars, d, bindings, params=params)
 
 
+def slot_matrix(p, sid, w):
+    """Slot `sid`'s (d_h, R) matrix `w` ("w_in" or "w_out"), a view of its row
+    of p's stacked slot array."""
+    return p.arrays[f"slot/{w}"][p.slot_ids.index(sid)]
+
+
 def zero_mlp_output(p):
     named = named_arrays(p)
     named["mlp/w2"] = np.zeros_like(named["mlp/w2"])
@@ -61,6 +67,18 @@ def identity_mlp(p):
     named["mlp/w2"] = np.hstack([np.eye(d_h), -np.eye(d_h)])
     named["mlp/b2"] = np.zeros(d_h)
     return replace_arrays(p, named)
+
+
+def reference_agg(g, p, h):
+    """Each node's summed messages, by a loop over factors and their slots."""
+    expected = np.zeros_like(h)
+    for a, binding in enumerate(g.factors):
+        slots = factor_slots(g, a)
+        us = [slot_matrix(p, sid, "w_in").T @ h[j] for sid, j in zip(slots, binding.scope)]
+        for k, (sid, j) in enumerate(zip(slots, binding.scope)):
+            others = np.array([us[m] for m in range(len(us)) if m != k]).reshape(-1, p.rank)
+            expected[j] += slot_matrix(p, sid, "w_out") @ np.prod(others, axis=0)
+    return expected
 
 
 class TestForward:
@@ -82,9 +100,8 @@ class TestForward:
         e1[0, 0] = 1.0
         p = init_layer_params(["s0", "s1"], d_h=d_h, rank=1, seed=0)
         named = named_arrays(p)
-        for sid in ("s0", "s1"):
-            named[f"slot/{sid}/w_in"] = e1.copy()
-            named[f"slot/{sid}/w_out"] = e1.copy()
+        named["slot/w_in"] = np.stack([e1, e1])
+        named["slot/w_out"] = np.stack([e1, e1])
         p = identity_mlp(replace_arrays(p, named))
         h = HiddenStates(np.array([[0.3, -0.7, 0.2], [0.9, 0.4, -0.1]]))
         out, tape = lrbp_forward(h, g, p)
@@ -120,12 +137,14 @@ class TestForward:
             lrbp_forward(HiddenStates(np.array([[np.nan, 0.0], [0.0, 0.0]])), g, p)
 
     def test_overflow_raises_only_floating_point_error(self):
-        g = lowrank_graph(4, [(0, 1, 2), (2, 3)])
-        p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, seed=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(FloatingPointError, match="non-finite message from factor 0"):
-                lrbp_forward(HiddenStates(np.full((4, 4), 1e200)), g, p)
+        # arity 6 and 7 take the longest prefix and suffix products
+        for num_vars, scopes in ((4, [(0, 1, 2), (2, 3)]), (6, [tuple(range(6))]), (7, [tuple(range(7))])):
+            g = lowrank_graph(num_vars, scopes)
+            p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, seed=4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(FloatingPointError, match="non-finite message from factor 0"):
+                    lrbp_forward(HiddenStates(np.full((num_vars, 4), 1e200)), g, p)
 
     def test_arity_one_factor_contributes_ones_product(self):
         # empty Hadamard set: message = w_out @ ones(R)
@@ -133,7 +152,7 @@ class TestForward:
         p = zero_mlp_output(init_layer_params(["s"], d_h=3, rank=4, seed=3))
         h = HiddenStates(np.zeros((1, 3)))
         _, tape = lrbp_forward(h, g, p)
-        np.testing.assert_allclose(tape.agg[0], p.arrays["slot/s/w_out"] @ np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(tape.agg[0], slot_matrix(p, "s", "w_out") @ np.ones(4), atol=1e-15)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -162,7 +181,7 @@ class TestForward:
                    for sid, w in zip(factor_slots(g, a), factor_cp(g, a).weights)}
         p = init_layer_params(weights, d_h=3, rank=4)
         named = named_arrays(p)
-        named.update({f"slot/{sid}/{m}": w for sid, w in weights.items() for m in ("w_in", "w_out")})
+        named["slot/w_in"] = named["slot/w_out"] = np.array(list(weights.values()))
         p = replace_arrays(p, named)
         h = rng.uniform(0.1, 1.0, size=(6, 3))
         _, tape = lrbp_forward(HiddenStates(h), g, p)
@@ -189,16 +208,8 @@ class TestForward:
         g = lowrank_graph(6 + isolated, scopes, slot_lists=slot_lists)
         p = init_layer_params([f"s{k}" for k in range(num_slot_ids)], d_h=3, rank=rank, seed=seed)
         h = rng.standard_normal((6 + isolated, 3))
-
-        expected = np.zeros_like(h)
-        for a, binding in enumerate(g.factors):
-            slots = factor_slots(g, a)
-            us = [p.arrays[f"slot/{sid}/w_in"].T @ h[j] for sid, j in zip(slots, binding.scope)]
-            for k, (sid, j) in enumerate(zip(slots, binding.scope)):
-                others = np.array([us[m] for m in range(len(us)) if m != k]).reshape(-1, rank)
-                expected[j] += p.arrays[f"slot/{sid}/w_out"] @ np.prod(others, axis=0)
         out, tape = lrbp_forward(HiddenStates(h), g, p)
-        assert np.max(np.abs(tape.agg - expected), initial=0.0) <= 1e-12
+        assert np.max(np.abs(tape.agg - reference_agg(g, p, h)), initial=0.0) <= 1e-12
 
         perm = rng.permutation(len(scopes))
         g_p = lowrank_graph(6 + isolated, [scopes[a] for a in perm],
@@ -327,24 +338,19 @@ class TestBackward:
         g_shared = lowrank_graph(4, scopes, slot_lists=[("x", "y"), ("x", "y")])
         g_split = lowrank_graph(4, scopes, slot_lists=[("x1", "y1"), ("x2", "y2")])
         base = init_layer_params(["x", "y"], d_h=3, rank=2, seed=9)
-        split_named = named_arrays(init_layer_params(["x1", "y1", "x2", "y2"], d_h=3, rank=2, seed=9))
-        for src, dsts in (("x", ("x1", "x2")), ("y", ("y1", "y2"))):
-            for dst in dsts:
-                for mat in ("w_in", "w_out"):
-                    split_named[f"slot/{dst}/{mat}"] = base.arrays[f"slot/{src}/{mat}"].copy()
-        p_split = replace_arrays(
-            init_layer_params(["x1", "y1", "x2", "y2"], d_h=3, rank=2, seed=9), split_named
-        )
+        p_split = init_layer_params(["x1", "y1", "x2", "y2"], d_h=3, rank=2, seed=9)
+        split_named = named_arrays(p_split)
+        for mat in ("slot/w_in", "slot/w_out"):
+            split_named[mat] = base.arrays[mat][[0, 1, 0, 1]]  # rows x, y, x, y
+        p_split = replace_arrays(p_split, split_named)
         h = HiddenStates(np.random.default_rng(10).standard_normal((4, 3)))
         up = np.random.default_rng(11).standard_normal((4, 3))
         _, tape_a = lrbp_forward(h, g_shared, base)
         _, tape_b = lrbp_forward(h, g_split, p_split)
         ga, _ = layer_grads(tape_a, up)
         gb, _ = layer_grads(tape_b, up)
-        for src, dsts in (("x", ("x1", "x2")), ("y", ("y1", "y2"))):
-            for mat in ("w_in", "w_out"):
-                summed = gb[f"slot/{dsts[0]}/{mat}"] + gb[f"slot/{dsts[1]}/{mat}"]
-                np.testing.assert_allclose(ga[f"slot/{src}/{mat}"], summed, atol=1e-12)
+        for mat in ("slot/w_in", "slot/w_out"):
+            np.testing.assert_allclose(ga[mat], gb[mat][:2] + gb[mat][2:], atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         g, p, h = self.make_case()
@@ -408,13 +414,33 @@ class TestGradCheck:
         assert c_order.max_relative_error < 1e-6
         assert f_order.max_relative_error == pytest.approx(c_order.max_relative_error, abs=1e-8)
 
+    @pytest.mark.parametrize("name, index, label", [
+        ("slot/w_in", (1, 2, 0), "slot/w_in[p0/1][4]"),  # row 1 is slot p0/1; R = 2
+        ("slot/w_out", (3, 0, 1), "slot/w_out[p1/0][1]"),
+        ("mlp/w1", (1, 2), "mlp/w1[5]"),  # d_h = 3
+    ])
+    def test_worst_param_names_the_slot(self, monkeypatch, name, index, label):
+        # a backward that is off in one coordinate: grad_check must name it
+        g = lowrank_graph(4, [(0, 1, 2), (2, 3)])
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=3)
+        real = neural.lrbp_backward
+
+        def off_by_one(tape, upstream, grads):
+            grads[name][index] += 1.0
+            return real(tape, upstream, grads)
+
+        monkeypatch.setattr(neural, "lrbp_backward", off_by_one)
+        result = grad_check(g, p, seed=0, layers=1)
+        assert result.worst_param == label
+        assert result.max_relative_error > 0.1
+
     def test_kink_coordinates_skipped(self):
         # b1[0] sits within eps of the ReLU kink; its own perturbation
         # flips the activation mask and must be excluded
         g = lowrank_graph(2, [(0, 1)], slot_lists=[("s", "s")])
         p = init_layer_params(["s"], d_h=2, rank=2, seed=2)
         named = named_arrays(p)
-        named["slot/s/w_out"] = np.zeros_like(named["slot/s/w_out"])
+        named["slot/w_out"] = np.zeros_like(named["slot/w_out"])
         named["mlp/w1"] = np.zeros_like(named["mlp/w1"])
         named["mlp/b1"] = np.array([1e-7, 1.0, 1.0, 1.0])
         p = replace_arrays(p, named)
@@ -426,10 +452,10 @@ class TestGradCheck:
 class TestInit:
     def test_named_arrays_is_a_new_table_over_the_same_arrays(self):
         p = init_layer_params(["a/w_in", "b"], d_h=3, rank=2, seed=1)
-        assert p.slots == ["a/w_in", "b"]
-        assert list(p.arrays) == ["slot/a/w_in/w_in", "slot/a/w_in/w_out", "slot/b/w_in",
-                                  "slot/b/w_out", "mlp/w1", "mlp/b1", "mlp/w2", "mlp/b2",
-                                  "readout/w", "readout/b"]
+        assert p.slot_ids == ("a/w_in", "b")
+        assert list(p.arrays) == ["slot/w_in", "slot/w_out", "mlp/w1", "mlp/b1", "mlp/w2",
+                                  "mlp/b2", "readout/w", "readout/b"]
+        assert p.arrays["slot/w_in"].shape == p.arrays["slot/w_out"].shape == (2, 3, 2)
         named = named_arrays(p)
         assert named is not p.arrays
         assert all(named[k] is a for k, a in p.arrays.items())
@@ -437,6 +463,17 @@ class TestInit:
         named["mlp/w1"] = np.zeros_like(w1)
         del named["readout/b"]
         assert p.arrays["mlp/w1"] is w1 and "readout/b" in p.arrays
+
+    def test_slot_rows_are_the_per_slot_draws(self):
+        # slot k draws w_in, then w_out, from the slot stream: one stacked draw
+        # gives the same values as a draw per slot matrix
+        p = init_layer_params(["a", "b", "c"], d_h=3, rank=2, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[0])
+        s = 1.0 / np.sqrt(2)
+        for k in range(3):
+            for w in ("slot/w_in", "slot/w_out"):
+                assert same_bits(p.arrays[w][k], rng.uniform(-s, s, size=(3, 2))), (k, w)
+        assert init_layer_params(["a", "b", "a"], d_h=3, rank=2).slot_ids == ("a", "b")
 
     def test_mlp_and_readout_independent_of_slot_count(self):
         a = named_arrays(init_layer_params(["x"], d_h=3, rank=2, out_dim=2, seed=9))
@@ -580,6 +617,31 @@ class TestTrainStep:
         for name, arr in named_arrays(new_p).items():
             assert np.array_equal(arr, before[name])
 
+    @pytest.mark.parametrize("w_out", [1e-100, 1.0])
+    def test_finite_loss_with_overflowing_gradient_aborts(self, w_out):
+        # the forward and the loss are finite. With w_out = 1e-100 the gradients
+        # are too, but w_out's (about 1e199) squares past the float64 range in
+        # Adam's second moment; with w_out = 1 the gradient of slot a's w_in
+        # overflows in the backward itself. Either way the step returns what
+        # it was given, with loss NaN and no numpy warning.
+        g = lowrank_graph(4, [(0, 1, 2, 3)], slot_lists=[("a", "b", "c", "d")])
+        p = init_layer_params(["a", "b", "c", "d"], d_h=1, rank=1, seed=0)
+        named = named_arrays(p)
+        named["slot/w_in"] = np.ones_like(named["slot/w_in"])
+        named["slot/w_out"] = np.full_like(named["slot/w_out"], w_out)
+        p = replace_arrays(p, named)
+        h0 = HiddenStates(np.array([[1e-200], [1e200], [1e200], [1e-200]]))
+        target = np.array([0.0])
+        h_t, _ = forward_stack(h0, g, p, layers=1)
+        assert np.isfinite(readout(h_t, p)).all()
+        opt = adam_init(named)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            new_p, new_opt, loss = train_step([(g, h0, target)], p, opt, layers=1)
+        assert np.isnan(loss)
+        assert new_p is p and new_opt is opt and opt.step == 0
+        assert all(np.all(a == 0) for a in opt.m.values())
+
     def test_empty_batch_rejected(self):
         _, p, _ = self.make_sample()
         with pytest.raises(ValueError, match="non-empty batch"):
@@ -639,13 +701,13 @@ class TestCheckpoint:
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
         save_checkpoint(p, path, opt)
         doc = json.loads(path.read_text())
-        assert doc["slots"] == list(p.slots)
+        assert doc["slots"] == list(p.slot_ids)
         assert list(doc["arrays"]) == list(named_arrays(p))
         if opt is not None:
             moments = doc["optimizer"]
             assert list(moments["m"]) == list(moments["v"]) == list(named_arrays(p))
         q, opt2 = load_checkpoint(path)
-        assert (q.d_h, q.rank, list(q.slots)) == (p.d_h, p.rank, list(p.slots))
+        assert (q.d_h, q.rank, q.slot_ids) == (p.d_h, p.rank, p.slot_ids)
         assert list(named_arrays(q)) == list(named_arrays(p))
         assert all(same_bits(named_arrays(q)[k], a) for k, a in named_arrays(p).items())
         assert (opt2 is None) == (opt is None)
@@ -658,11 +720,11 @@ class TestCheckpoint:
     # "arrays") or a moment as optimizer/<m|v>/<name>
     @pytest.mark.parametrize("name, value, match", [
         ("mlp/w1", None, "missing mlp/w1"),
-        ("slot/a/w_in", None, "missing slot/a/w_in"),
+        ("slot/w_in", None, "missing slot/w_in"),
         ("d_h", None, "missing d_h"),
         ("optimizer/m/readout/b", None, "missing optimizer/m/readout/b"),
-        ("slot/a/w_in", [[1.0]], r"slot/a/w_in has shape \(1, 1\), expected \(3, 2\)"),
-        ("slot/a/w_out", [[1.0, 2.0]] * 2, r"slot/a/w_out has shape \(2, 2\), expected \(3, 2\)"),
+        ("slot/w_in", [[1.0]], r"array slot/w_in has shape \(1, 1\), expected \(2, 3, 2\)"),
+        ("slot/w_out", [[[1.0, 2.0]] * 3], r"array slot/w_out has shape \(1, 3, 2\), expected \(2, 3, 2\)"),
         ("mlp/w1", [[1.0] * 3] * 5, r"mlp/w1 has shape \(5, 3\), expected \(4, 3\)"),
         ("mlp/w2", [[1.0] * 4] * 2, r"mlp/w2 has shape \(2, 4\), expected \(3, 4\)"),
         ("mlp/b2", [1.0], r"mlp/b2 has shape \(1,\), expected \(3,\)"),
@@ -693,14 +755,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match):
             load_checkpoint(file)
 
+    def test_per_slot_layout_rejected(self, tmp_path):
+        # the layout with one array per slot (slot/<id>/w_in) is never loaded
+        p = init_layer_params(["a", "b"], d_h=3, rank=2, d_mlp=4, seed=0)
+        per_slot = {f"slot/{sid}/{w}": slot_matrix(p, sid, w).tolist()
+                    for sid in p.slot_ids for w in ("w_in", "w_out")}
+        rest = {name: a.tolist() for name, a in p.arrays.items() if not name.startswith("slot/")}
+        doc = {"d_h": 3, "rank": 2, "slots": ["a", "b"], "arrays": {**per_slot, **rest}, "optimizer": None}
+        file = tmp_path / "ckpt.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="checkpoint is missing slot/w_in"):
+            load_checkpoint(file)
+
     def test_nested_layout_rejected(self, tmp_path):
         # the layout that read each field by a nested path is never loaded
         p = init_layer_params(["a", "b"], d_h=3, rank=2, d_mlp=4, seed=0)
         doc = {
             "d_h": 3,
             "rank": 2,
-            "slots": {sid: {w: p.arrays[f"slot/{sid}/{w}"].tolist() for w in ("w_in", "w_out")}
-                      for sid in p.slots},
+            "slots": {sid: {w: slot_matrix(p, sid, w).tolist() for w in ("w_in", "w_out")}
+                      for sid in p.slot_ids},
             "mlp": {w: p.arrays[f"mlp/{w}"].tolist() for w in ("w1", "b1", "w2", "b2")},
             "readout": {w: p.arrays[f"readout/{w}"].tolist() for w in ("w", "b")},
             "optimizer": None,
@@ -709,3 +783,53 @@ class TestCheckpoint:
         file.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="field slots: expected a list of slot id strings"):
             load_checkpoint(file)
+
+
+class TestSlotTables:
+    """A table with one slot per edge, and a table with no slots."""
+
+    def unshared(self):
+        # every factor has its own param_id, so the derived slots are one per edge
+        g = lowrank_graph(5, [(0, 1, 2), (2, 3), (1, 3, 4, 0)])
+        assert len(g.slots.groups) == 1 and g.slots.groups[0][1].shape == (9, 1)
+        return g
+
+    def empty(self):
+        return build_graph(3, 2, [])
+
+    @pytest.mark.parametrize("which", ["unshared", "empty"])
+    def test_forward_and_gradients(self, which):
+        g = getattr(self, which)()
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=1)
+        assert p.arrays["slot/w_in"].shape == (len(g.slots.ids), 3, 2)
+        h = HiddenStates(np.random.default_rng(2).standard_normal((g.num_vars, 3)))
+        out, tape = lrbp_forward(h, g, p)
+        assert np.max(np.abs(tape.agg - reference_agg(g, p, h.values))) <= 1e-12
+        grads, _ = layer_grads(tape, 2.0 * out.values)
+
+        def loss():
+            cur, _ = lrbp_forward(h, g, p)
+            return float(np.sum(cur.values**2))
+
+        fd = fd_loss_grads(loss, p)
+        for name, ana in grads.items():
+            rel = np.abs(fd[name] - ana) / np.maximum.reduce(
+                [np.abs(fd[name]), np.abs(ana), np.full_like(ana, 1e-3)]
+            )
+            assert rel.max(initial=0.0) < 1e-4, name
+
+    @pytest.mark.parametrize("which", ["unshared", "empty"])
+    def test_train_step_and_checkpoint(self, tmp_path, which):
+        g = getattr(self, which)()
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=3)
+        h0 = HiddenStates(np.random.default_rng(4).standard_normal((g.num_vars, 3)))
+        new_p, opt, loss = train_step([(g, h0, np.array([0.5]))], p, None, lr=1e-2)
+        assert np.isfinite(loss) and opt.step == 1
+        assert not np.array_equal(new_p.arrays["mlp/w2"], p.arrays["mlp/w2"])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(new_p, path, opt)
+        q, opt2 = load_checkpoint(path)
+        assert q.slot_ids == new_p.slot_ids and opt2.step == 1
+        for name, a in new_p.arrays.items():
+            assert same_bits(q.arrays[name], a), name
+            assert same_bits(opt2.m[name], opt.m[name]) and same_bits(opt2.v[name], opt.v[name]), name

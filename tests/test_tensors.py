@@ -12,6 +12,7 @@ from lrbp.tensors import (
     cp_expand,
     cp_fit_als,
     cp_random,
+    leave_one_out_tangent,
 )
 from reference import marginalize_product
 
@@ -225,3 +226,27 @@ class TestMarginalizeProduct:
         for keep in range(order):
             out = marginalize_product(t, ones, keep)
             assert abs(out.sum() - arr.sum()) < 1e-10
+
+
+class TestLeaveOneOutTangent:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arity=st.integers(1, 7),
+        axis=st.integers(0, 2),
+        zeros=st.sampled_from([0.0, 0.3, 0.7]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_brute_force_sum(self, arity, axis, zeros, seed):
+        # out_l = sum over k != l of t_k * prod over m != k, l of x_m, with exact
+        # zeros in x; each entry within 1e-12 of the sum of its terms' magnitudes
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, arity, 4)) * (rng.uniform(size=(3, arity, 4)) >= zeros)
+        t = rng.standard_normal((3, arity, 4))
+        want = np.zeros_like(x)
+        scale = np.zeros_like(x)
+        for l, k in itertools.permutations(range(arity), 2):
+            term = t[:, k] * np.prod(np.delete(x, [k, l], axis=1), axis=1)
+            want[:, l] += term
+            scale[:, l] += np.abs(term)
+        got = np.moveaxis(leave_one_out_tangent(np.moveaxis(x, 1, axis), np.moveaxis(t, 1, axis), axis), axis, 1)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
