@@ -7,13 +7,17 @@ then all factor-to-variable messages from the fresh variable-to-factor
 buffer. Every message is L1-normalized as it is produced.
 
 `run_lbp` keeps each message family in one (E, d) array over `g.layout`, in
-the edge order that `lrbp.graph` defines. Low-rank factors are grouped by
-(arity n, rank R): a group projects its rows through its (F, n, d, R) weights,
-takes the leave-one-out Hadamard product over the slot axis and maps back,
-O(n * d * R) per factor. Dense factors go one at a time: a prefix contraction
-of the table against suffix outer products of the rows sends all n messages of
-a factor in O(d**n). Variables are bucketed by degree D: a bucket takes the
-leave-one-out product of its (V, D, d) rows times the unary, O(D * d) each.
+the edge order that `lrbp.graph` defines. The layout's edge blocks are
+slot-major, so every gather puts the slot axis first. Low-rank factors are
+grouped by (arity n, rank R): a group projects its (n, F, d) rows through its
+(n, F, d, R) weights, takes the leave-one-out Hadamard product over the slot
+axis and maps back, O(n * d * R) per factor. Dense factors go one at a time: a
+prefix contraction of the table against suffix outer products of the rows
+sends all n messages of a factor in O(d**n). Variables are bucketed by degree
+D: a bucket takes the leave-one-out product of its (D, V, d) rows times the
+unary, O(D * d) each. Both leave-one-out products are `tensors.leave_one_out`,
+which scans the slot axis slab by slab, or by cumprod when it is longer than
+a slab.
 
 This edge-array layout is the only one in the package. The one-message dict
 reference and the full-table marginalizer that the tests check `run_lbp`
@@ -71,9 +75,9 @@ def _normalize(raw: np.ndarray, what: str, *keys) -> np.ndarray:
 def _lowrank_messages(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Unnormalized messages of F low-rank factors of one shape: message k
     of factor f is W_k @ (Hadamard product over l != k of W_l^T m_l), for
-    (F, n, d, R) weights w and (F, n, d) incoming messages m."""
-    gamma = np.einsum("fndr,fnd->fnr", w, m)
-    return np.einsum("fndr,fnr->fnd", w, leave_one_out(gamma, axis=1))
+    slot-major (n, F, d, R) weights w and (n, F, d) incoming messages m."""
+    gamma = np.einsum("nfdr,nfd->nfr", w, m)
+    return np.einsum("nfdr,nfr->nfd", w, leave_one_out(gamma))
 
 
 def _dense_messages(t: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -99,7 +103,7 @@ def _dense_messages(t: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _factor_groups(g: FactorGraph):
     """The parts of a solve that read `g.params`, from the layout's arity
-    groups: ((F, n) edges, (F, n, d, R) weights) per low-rank (arity, rank)
+    groups: ((n, F) edges, (n, F, d, R) weights) per low-rank (arity, rank)
     group and (first edge, table) per dense factor. Dense tables are not
     stacked per arity: `_dense_messages` reads each in place, O(d**n), where
     a stack would copy every table on each solve."""
@@ -108,13 +112,13 @@ def _factor_groups(g: FactorGraph):
         payloads = [g.factors[a].payload for a in ids.tolist()]
         dense += [(e, p.tensor) for e, p in zip(g.layout.offs[ids].tolist(), payloads)
                   if isinstance(p, DensePayload)]
-        lowrank = [k for k, p in enumerate(payloads) if not isinstance(p, DensePayload)]
+        lowrank = np.flatnonzero([not isinstance(p, DensePayload) for p in payloads])
         cps = [factor_cp(g, a) for a in ids[lowrank].tolist()]
         ranks = np.array([cp.rank for cp in cps], dtype=np.intp)
         for r in np.unique(ranks):
-            sel = np.flatnonzero(ranks == r)
-            ws = np.array([w for f in sel.tolist() for w in cps[f].weights])
-            groups.append((edges[lowrank][sel], ws.reshape(sel.size, -1, g.cardinality, r)))
+            sel = np.flatnonzero(ranks == r).tolist()
+            ws = np.array([[cps[f].weights[k] for f in sel] for k in range(edges.shape[0])])
+            groups.append((edges[:, lowrank[sel]], ws))
     return groups, dense
 
 
@@ -139,9 +143,9 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
         raise ValueError(f"damping must be in [0, 1), got {opts.damping}")
 
     groups, dense = _factor_groups(g)
-    buckets = g.layout.buckets
     var, fac, d = g.layout.var.tolist(), g.layout.fac.tolist(), g.cardinality
     unary = g.unary if g.unary is not None else np.ones((g.num_vars, d))
+    buckets = [(vs, edges, unary[vs]) for vs, edges in g.layout.buckets]
     v2f = f2v = np.full((len(var), d), 1.0 / d)  # never written in place
     trace: list[tuple[int, float]] = []
     delta = math.inf
@@ -151,16 +155,16 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, opts.max_iters + 1):
             raw = np.empty_like(f2v)
-            for vs, edges in buckets:
-                raw[edges] = leave_one_out(f2v[edges], axis=1) * unary[vs, None]
+            for _, edges, u in buckets:
+                raw[edges] = leave_one_out(f2v[edges]) * u
             new_v2f = _normalize(raw, "message {}->{}", var, fac)
             if opts.damping:
                 new_v2f = (1.0 - opts.damping) * new_v2f + opts.damping * v2f
             raw = np.zeros_like(new_v2f)
             for edges, w in groups:
                 raw[edges] = _lowrank_messages(w, new_v2f[edges])
-            bad = np.flatnonzero((raw < NEGATIVE_TOL).any(axis=1))  # dense rows are still 0
-            if bad.size:
+            if raw.min(initial=0.0) < NEGATIVE_TOL:  # dense rows are still 0
+                bad = np.flatnonzero((raw < NEGATIVE_TOL).any(axis=1))
                 negative.append((bad[0], bad.size, raw[bad].min()))
             for e0, table in dense:
                 n = table.order
@@ -168,20 +172,24 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
             new_f2v = _normalize(raw, "message {}->{}", fac, var)
             if opts.damping:
                 new_f2v = (1.0 - opts.damping) * new_f2v + opts.damping * f2v
-            delta = float(max(np.abs(new_v2f - v2f).max(initial=0.0),
-                              np.abs(new_f2v - f2v).max(initial=0.0)))
-            for msgs, keys in ((new_v2f, (var, fac)), (new_f2v, (fac, var))):
-                bad = np.flatnonzero(~np.isfinite(msgs).all(axis=1))
-                if bad.size:
-                    key = tuple(k[bad[0]] for k in keys)
-                    raise FloatingPointError(f"non-finite message {key} at iteration {iteration}")
+            # np.maximum, not max(), so that a NaN in either family reaches delta;
+            # the previous messages are finite, so only a non-finite delta needs a scan
+            delta = float(np.maximum(np.abs(new_v2f - v2f).max(initial=0.0),
+                                     np.abs(new_f2v - f2v).max(initial=0.0)))
+            if not math.isfinite(delta):
+                for msgs, keys in ((new_v2f, (var, fac)), (new_f2v, (fac, var))):
+                    bad = np.flatnonzero(~np.isfinite(msgs).all(axis=1))
+                    if bad.size:
+                        key = tuple(k[bad[0]] for k in keys)
+                        raise FloatingPointError(
+                            f"non-finite message {key} at iteration {iteration}")
             v2f, f2v = new_v2f, new_f2v
             trace.append((iteration, delta))
             if delta < opts.tol:
                 break
         beliefs = unary.copy()
-        for vs, edges in buckets:
-            beliefs[vs] *= f2v[edges].prod(axis=1)
+        for vs, edges, _ in buckets:
+            beliefs[vs] *= f2v[edges].prod(axis=0)
         beliefs = _normalize(beliefs, "belief of variable {}", range(g.num_vars))
 
     if negative:

@@ -100,20 +100,27 @@ class FactorGraph:
             ids=tuple(index),
             slot=_read_only(slot),
             # a stable sort keeps each slot's edges in edge order
-            groups=_groups_by_size(np.bincount(slot), np.argsort(slot, kind="stable")),
+            # item-major views of the slot-major blocks, for the batched matmul
+            groups=tuple((s, e.T) for s, e in
+                         _groups_by_size(np.bincount(slot), np.argsort(slot, kind="stable"))),
         )
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeLayout:
     """The edges of one graph, in the edge order of the module docstring.
-    Every array is read-only, since all calls on the graph share them."""
+    Every array is read-only, since all calls on the graph share them.
+
+    The edge blocks of `arities` and `buckets` are slot-major and
+    C-contiguous: row k holds slot k of every factor (k-th edge of every
+    variable), so a gather `x[edges]` yields one contiguous slab per slot and
+    leave-one-out products run along axis 0."""
 
     var: np.ndarray  # (E,) variable of each edge
     fac: np.ndarray  # (E,) factor of each edge
     offs: np.ndarray  # (F,) first edge of each factor
-    arities: tuple  # ((F_n,) factors, (F_n, n) edges) per arity n
-    buckets: tuple  # ((V,) variables, (V, D) edges) per degree D, each row in factor order
+    arities: tuple  # ((F_n,) factors, (n, F_n) edges) per arity n
+    buckets: tuple  # ((V,) variables, (D, V) edges) per degree D, each column in factor order
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +135,14 @@ class SlotIndex:
 
 
 def _groups_by_size(sizes: np.ndarray, edges: np.ndarray) -> tuple:
-    """((G,) items, (G, n) edges) per distinct size n; item i owns the next
-    sizes[i] entries of `edges`."""
+    """((G,) items, (n, G) edges) per distinct size n, slot-major and
+    C-contiguous; item i owns the next sizes[i] entries of `edges`, which form
+    its column of the block."""
     starts = np.cumsum(sizes) - sizes
     groups = []
     for n in np.unique(sizes):
         ids = np.flatnonzero(sizes == n)
-        groups.append((_read_only(ids), _read_only(edges[starts[ids, None] + np.arange(n)])))
+        groups.append((_read_only(ids), _read_only(edges[np.arange(n)[:, None] + starts[ids]])))
     return tuple(groups)
 
 

@@ -10,9 +10,11 @@ Hadamard product, W_out after.
 A layer runs on the graph's edge arrays (`g.layout`, in the edge order that
 `lrbp.graph` defines): one batched matmul over the stacked slot matrices per
 group of slots with the same edge count (`g.slots.groups`), the shared
-`tensors.leave_one_out` kernel per arity group, and each node sums its messages
-over its row of the layout's degree buckets. Its hand-derived backward takes
-the leave-two-out sums from `tensors.leave_one_out_tangent`, never by division.
+`tensors.leave_one_out` kernel on each arity group's slot-major (n, F, R)
+gather, and each node sums its messages over axis 0 of its degree bucket's
+slot-major (D, V, d_h) gather. Its hand-derived backward takes the
+leave-two-out sums from `tensors.leave_one_out_tangent`, the same slab scan
+over dual numbers, never by division.
 Parameters are read-only during a step; all update functions return fresh structures.
 
 A `LayerParams` holds its arrays in one table, keyed by name (see
@@ -169,7 +171,7 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
         for s, e in g.slots.groups:  # (S_c, c, d_h) @ (S_c, d_h, R)
             u[e] = values[var[e]] @ w["slot/w_in"][rows[s]]
         for _, ids in lay.arities:
-            loo[ids] = leave_one_out(u[ids], axis=1)
+            loo[ids] = leave_one_out(u[ids])
         for s, e in g.slots.groups:
             msg[e] = loo[e] @ w["slot/w_out"][rows[s]].transpose(0, 2, 1)
     bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
@@ -178,8 +180,8 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
             f"non-finite message from factor {lay.fac[bad[0]]} into node {var[bad[0]]}"
         )
     agg = np.zeros_like(values)
-    for vs, e in lay.buckets:  # each row in edge order
-        agg[vs] = msg[e].sum(axis=1)
+    for vs, e in lay.buckets:  # each column in edge order
+        agg[vs] = msg[e].sum(axis=0)
 
     z = agg @ w["mlp/w1"].T + w["mlp/b1"]
     r = np.maximum(z, 0.0)
@@ -220,14 +222,14 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
             dloo[e] = dmsg[e] @ w["slot/w_out"][rows[s]]
         du = np.empty_like(tape.u)
         for _, ids in g.layout.arities:
-            du[ids] = leave_one_out_tangent(tape.u[ids], dloo[ids], axis=1)
+            du[ids] = leave_one_out_tangent(tape.u[ids], dloo[ids])
         dh_edge = np.empty_like(dmsg)
         for s, e in g.slots.groups:
             grads["slot/w_in"][rows[s]] += tape.h_in[var[e]].transpose(0, 2, 1) @ du[e]
             dh_edge[e] = du[e] @ w["slot/w_in"][rows[s]].transpose(0, 2, 1)
         dh = upstream.copy()  # residual path
         for vs, e in g.layout.buckets:
-            dh[vs] += dh_edge[e].sum(axis=1)
+            dh[vs] += dh_edge[e].sum(axis=0)
     return dh
 
 

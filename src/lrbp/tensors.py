@@ -2,6 +2,11 @@
 the leave-one-out product kernel that LBP and the neural layer share, with its
 derivative for the neural layer's backward.
 
+Both kernels take the product along axis 0, the slot axis of the callers'
+slot-major gathers, and share one prefix/suffix scan over its contiguous
+slabs. `leave_one_out` keeps a cumprod branch for a slot axis longer than one
+slab; the derivative runs the same scan over dual numbers.
+
 A dense table stores every entry of an order-m potential; a CP factor stores
 one d x R weight matrix per variable slot and represents the table
 T(i_1..i_m) = sum_r prod_j W_j[i_j, r]. Rank-1 scale coefficients are always
@@ -211,33 +216,60 @@ def cp_fit_als(
     return factor, final
 
 
-def leave_one_out(x: np.ndarray, axis: int) -> np.ndarray:
-    """out[..., k, ...] = product of x[..., j, ...] over j != k along `axis`,
-    by a prefix and a suffix cumprod: O(n) multiplications, no division."""
-    x = np.moveaxis(x, axis, 0)
+def _scan(x: np.ndarray, mul) -> np.ndarray:
+    """out[k] = mul(p_k, s_k) for the n >= 2 slabs x[k] along axis 0, with
+    p_k = x[0] * ... * x[k-1] and s_k = x[n-1] * ... * x[k+1] each multiplied
+    out in that order, and one side alone at k = 0 and k = n - 1. `mul(a, b,
+    out=)` multiplies two slabs; `out` may alias either. One Python step per
+    slab, each on whole contiguous slabs."""
+    n = x.shape[0]
+    out = np.empty_like(x)
+    out[1] = x[0]
+    for k in range(2, n):
+        mul(out[k - 1], x[k - 1], out=out[k])
+    suf = out[0]  # s_k builds up in place, ending as out[0] = s_0
+    suf[...] = x[n - 1]
+    for k in range(n - 2, 0, -1):
+        mul(out[k], suf, out=out[k])
+        mul(suf, x[k], out=suf)
+    return out
+
+
+def leave_one_out(x: np.ndarray) -> np.ndarray:
+    """out[k] = product of x[j] over j != k, along the slot axis 0: O(n)
+    multiplications, no division; ones for n <= 1.
+
+    A slot axis no longer than a slab x[0] is scanned slab by slab. A longer
+    one (a hub's degree bucket: many slots, few rows) takes a prefix and a
+    suffix np.cumprod, whose one inner loop per element is then cheaper than
+    one Python step per slab. Both multiply in the same order, so the two
+    branches agree bit for bit."""
+    n = x.shape[0]
+    if n < 2:
+        return np.ones_like(x)
+    if n <= x[0].size:
+        return _scan(x, np.multiply)
     out = np.ones_like(x)
     np.cumprod(x[:-1], axis=0, out=out[1:])
     out[:-1] *= np.cumprod(x[:0:-1], axis=0)[::-1]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
+def _dual_multiply(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(a[0] + eps a[1]) * (b[0] + eps b[1]) with eps**2 = 0, into `out`."""
+    eps_part = a[0] * b[1]
+    eps_part += a[1] * b[0]
+    np.multiply(a[0], b[0], out=out[0])
+    out[1] = eps_part
+    return out
 
-def leave_one_out_tangent(x: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
-    """The derivative of leave_one_out(x, axis) along t: out[..., l, ...] is the
-    sum over k != l of t[..., k, ...] times the product of x[..., m, ...] over
-    m != k, l. It is the eps-part of leave_one_out over the dual numbers
-    x + eps*t, taken by one prefix and one suffix pass over (product, eps-part)
-    pairs: O(n) multiplications, no division."""
-    x, t = np.moveaxis(x, axis, 0), np.moveaxis(t, axis, 0)
-    n = x.shape[0]
-    # pre[:, j] and suf[:, j]: the pair over the positions before and after j
-    pre = np.zeros((2,) + x.shape)
-    suf = np.zeros_like(pre)
-    pre[0, 0] = suf[0, n - 1] = 1.0
-    for j in range(1, n):
-        pre[:, j] = pre[:, j - 1] * x[j - 1]
-        pre[1, j] += pre[0, j - 1] * t[j - 1]
-        k = n - 1 - j
-        suf[:, k] = suf[:, k + 1] * x[k + 1]
-        suf[1, k] += suf[0, k + 1] * t[k + 1]
-    return np.moveaxis(pre[0] * suf[1] + pre[1] * suf[0], 0, axis)
+
+def leave_one_out_tangent(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The derivative of leave_one_out(x) along t: out[l] is the sum over
+    k != l of t[k] times the product of x[m] over m != k, l, along the slot
+    axis 0. It is the eps-part of leave_one_out over the dual numbers
+    x + eps*t, by the same slab scan over (product, eps-part) pairs: O(n)
+    multiplications, no division."""
+    if x.shape[0] < 2:
+        return np.zeros_like(x)
+    return _scan(np.stack((x, t), axis=1), _dual_multiply)[:, 1]

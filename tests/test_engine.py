@@ -337,6 +337,21 @@ class TestRunLBP:
                                match=r"^non-finite message \(1, 0\) at iteration 1$"):
                 run_lbp(g)
 
+    def test_infinite_cp_weight_raises_non_finite_without_runtime_warnings(self):
+        # the variable-to-factor messages of iteration 1 are finite and only the
+        # low-rank factor's outgoing ones are not: the first of them is named
+        cp = cp_random(3, 2, 2, seed=70)
+        w1 = cp.weights[1].copy()
+        w1[0, 1] = np.inf
+        cp = CPFactor(3, 2, 2, (cp.weights[0], w1, cp.weights[2]))
+        g = build_graph(4, 2, [FactorBinding((0, 1), dense([[1.0, 0.5], [0.5, 1.0]])),
+                               FactorBinding((1, 2, 3), LowRankPayload("p"))], params={"p": cp})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError,
+                               match=r"^non-finite message \(1, 1\) at iteration 1$"):
+                run_lbp(g)
+
     def test_mixed_sign_weights_warn_once_per_run(self):
         w0 = np.array([[1.0, -0.5], [0.5, 1.0]])
         w1 = np.array([[1.0, 1.0], [0.2, -2.0]])
@@ -452,6 +467,29 @@ class TestEdgeLayout:
         got = run_lbp(relabelled, opts)
         assert got.iterations_used == base.iterations_used
         assert np.max(np.abs(got.beliefs[vperm] - base.beliefs)) <= 1e-12
+
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_hub_longer_than_its_slab_matches_reference_loop(self, damping):
+        # the hub's degree bucket is (12, 1) edges over d = 3 states, so its
+        # leave-one-out product takes the cumprod branch, not the slab scan
+        rng = np.random.default_rng(71)
+        d, leaves = 3, 12
+        bindings, params = [], {}
+        for i in range(1, leaves + 1):
+            if i % 2:
+                params[f"p{i}"] = cp_random(2, d, 3, seed=int(rng.integers(1e6)))
+                bindings.append(FactorBinding((0, i), LowRankPayload(f"p{i}")))
+            else:
+                bindings.append(FactorBinding((i, 0), dense(rng.uniform(0.1, 1.0, size=(d, d)))))
+        g = build_graph(leaves + 1, d, bindings, unary=rng.uniform(0.1, 1.0, size=(leaves + 1, d)),
+                        params=params)
+        hub = [edges for vs, edges in g.layout.buckets if vs.tolist() == [0]]
+        assert len(hub) == 1 and hub[0].shape == (leaves, 1) and leaves > d
+        opts = LBPOptions(max_iters=40, tol=1e-10, damping=damping)
+        got = run_lbp(g, opts)
+        beliefs, iterations, converged = reference_lbp(g, opts)
+        assert got.iterations_used == iterations and got.converged == converged
+        assert np.max(np.abs(got.beliefs - beliefs)) <= 1e-12
 
     def test_layout_built_once_and_read_only(self, monkeypatch):
         from lrbp import graph

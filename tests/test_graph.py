@@ -46,7 +46,7 @@ def bucket_factors(g):
     """Each variable's factors as the layout's degree buckets list them."""
     out = {}
     for vs, edges in g.layout.buckets:
-        for v, row in zip(vs.tolist(), edges):
+        for v, row in zip(vs.tolist(), edges.T):
             out[v] = tuple(g.layout.fac[row].tolist())
     return [out[v] for v in range(g.num_vars)]
 

@@ -188,7 +188,7 @@ class TestForward:
         expected = np.zeros_like(h)
         for a, scope in enumerate(scopes):
             w = np.array(factor_cp(g, a).weights)
-            np.add.at(expected, list(scope), _lowrank_messages(w[None], h[list(scope)][None])[0])
+            np.add.at(expected, list(scope), _lowrank_messages(w[:, None], h[list(scope)][:, None])[:, 0])
         assert np.max(np.abs(tape.agg - expected)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ from lrbp.tensors import (
     cp_expand,
     cp_fit_als,
     cp_random,
+    leave_one_out,
     leave_one_out_tangent,
 )
 from reference import marginalize_product
@@ -228,25 +229,57 @@ class TestMarginalizeProduct:
             assert abs(out.sum() - arr.sum()) < 1e-10
 
 
+class TestLeaveOneOut:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 9),
+        slab=st.sampled_from([(1,), (2, 1), (3,), (2, 3), (4, 5)]),
+        special=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_cumprod_and_brute_force(self, n, slab, special, seed):
+        # slabs of 1 to 20 entries put n on both sides of the slab size, so both
+        # the slab scan and the cumprod branch run; `special` of the entries are
+        # exact zeros or +-inf
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 2.0, size=(n,) + slab) * rng.choice([-1.0, 1.0], size=(n,) + slab)
+        pick = rng.uniform(size=x.shape) < special
+        x[pick] = rng.choice([0.0, np.inf, -np.inf], size=int(pick.sum()))
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            got = leave_one_out(x)
+            # the reference multiplies in the same order: prefix times reversed suffix
+            want = np.ones_like(x)
+            if n > 1:
+                want[1:] = np.cumprod(x[:-1], axis=0)
+                want[:-1] *= np.cumprod(x[:0:-1], axis=0)[::-1]
+            brute = np.array([np.prod(np.delete(x, k, axis=0), axis=0) for k in range(n)])
+        assert got.shape == x.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        if n:
+            finite = np.isfinite(brute)
+            assert np.array_equal(got[~finite], brute[~finite], equal_nan=True)
+            assert np.all(np.abs(got[finite] - brute[finite]) <= 1e-12 * np.abs(brute[finite]))
+
+
 class TestLeaveOneOutTangent:
     @settings(max_examples=100, deadline=None)
     @given(
         arity=st.integers(1, 7),
-        axis=st.integers(0, 2),
         zeros=st.sampled_from([0.0, 0.3, 0.7]),
         seed=st.integers(0, 10**6),
     )
-    def test_matches_brute_force_sum(self, arity, axis, zeros, seed):
-        # out_l = sum over k != l of t_k * prod over m != k, l of x_m, with exact
-        # zeros in x; each entry within 1e-12 of the sum of its terms' magnitudes
+    def test_matches_brute_force_sum(self, arity, zeros, seed):
+        # out_l = sum over k != l of t_k * prod over m != k, l of x_m, along the
+        # slot axis 0, with exact zeros in x; each entry within 1e-12 of the sum
+        # of its terms' magnitudes
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((3, arity, 4)) * (rng.uniform(size=(3, arity, 4)) >= zeros)
-        t = rng.standard_normal((3, arity, 4))
+        x = rng.standard_normal((arity, 3, 4)) * (rng.uniform(size=(arity, 3, 4)) >= zeros)
+        t = rng.standard_normal((arity, 3, 4))
         want = np.zeros_like(x)
         scale = np.zeros_like(x)
         for l, k in itertools.permutations(range(arity), 2):
-            term = t[:, k] * np.prod(np.delete(x, [k, l], axis=1), axis=1)
-            want[:, l] += term
-            scale[:, l] += np.abs(term)
-        got = np.moveaxis(leave_one_out_tangent(np.moveaxis(x, 1, axis), np.moveaxis(t, 1, axis), axis), axis, 1)
+            term = t[k] * np.prod(np.delete(x, [k, l], axis=0), axis=0)
+            want[l] += term
+            scale[l] += np.abs(term)
+        got = leave_one_out_tangent(x, t)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
