@@ -11,13 +11,15 @@ the edge order that `lrbp.graph` defines. The layout's edge blocks are
 slot-major, so every gather puts the slot axis first. Low-rank factors are
 grouped by (arity n, rank R): a group projects its (n, F, d) rows through its
 (n, F, d, R) weights, takes the leave-one-out Hadamard product over the slot
-axis and maps back, O(n * d * R) per factor. Dense factors go one at a time: a
-prefix contraction of the table against suffix outer products of the rows
-sends all n messages of a factor in O(d**n). Variables are bucketed by degree
-D: a bucket takes the leave-one-out product of its (D, V, d) rows times the
-unary, O(D * d) each. Both leave-one-out products are `tensors.leave_one_out`,
-which scans the slot axis slab by slab, or by cumprod when it is longer than
-a slab.
+axis and maps back, O(n * d * R) per factor. The dense factors of one arity
+go in one call: a prefix contraction of each table against suffix outer
+products of the rows sends all n messages of a factor in O(d**n). The two
+steps that read a table run per factor, in place; the rest are batched
+matmuls over chunks of factors. Variables are bucketed by degree D: a
+bucket takes the leave-one-out product of its (D, V, d) rows times the unary,
+O(D * d) each. Both leave-one-out products are `tensors.leave_one_out`, which
+scans the slot axis slab by slab, or by cumprod when it is longer than a
+slab.
 
 This edge-array layout is the only one in the package. The one-message dict
 reference and the full-table marginalizer that the tests check `run_lbp`
@@ -35,6 +37,8 @@ from .graph import DensePayload, FactorGraph, factor_cp, joint_table
 from .tensors import DEFAULT_CAPACITY, leave_one_out
 
 NEGATIVE_TOL = -1e-12
+# doubles in one chunk's intermediate in `_dense_messages` (512 KiB)
+_CHUNK = 2 ** 16
 
 
 class ZeroMessageError(Exception):
@@ -62,12 +66,18 @@ class LBPOptions:
 
 
 def _normalize(raw: np.ndarray, what: str, *keys) -> np.ndarray:
-    """`raw` over its sums along the last axis. The first zero sum raises,
-    naming its row by `what.format(*(k[row] for k in keys))`."""
+    """`raw` over its sums along the last axis. A row whose sum is +inf is
+    first divided by its maximum, so that finite entries whose sum overflows
+    still normalize; a row with an infinite entry stays non-finite. The first
+    zero sum raises, naming its row by `what.format(*(k[row] for k in keys))`."""
     total = raw.sum(axis=-1, keepdims=True)
+    over = total == math.inf
+    if over.any():
+        raw = raw / np.where(over, raw.max(axis=-1, keepdims=True), 1.0)
+        total = raw.sum(axis=-1, keepdims=True)
     zero = np.flatnonzero(total == 0.0)
     if zero.size:
-        what = what.format(*(k[zero[0]] for k in keys))
+        what = what.format(*(int(k[zero[0]]) for k in keys))
         raise ZeroMessageError(f"{what} normalized to zero mass")
     return raw / total
 
@@ -80,39 +90,56 @@ def _lowrank_messages(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("nfdr,nfr->nfd", w, leave_one_out(gamma))
 
 
-def _dense_messages(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Unnormalized messages of one dense factor: message k sums the flat
-    (d**n,) table `t` times every row of the (n, d) incoming `m` but row k.
+def _dense_messages(tables: list[np.ndarray], m: np.ndarray) -> np.ndarray:
+    """Unnormalized messages of F dense factors of arity n: message k of
+    factor f sums the flat (d**n,) table `tables[f]` times every row of
+    m[:, f] but row k, for slot-major (n, F, d) incoming `m`.
 
     With S_k the outer product of rows k+1..n-1 and `acc` the table already
     contracted with rows 0..k-1, message k is `acc @ S_k` over acc's leading
     axis. All n messages cost about 2 * d / (d - 1) * d**n multiply-adds;
-    marginalizing the full table once per message costs n**2 * d**n."""
-    n, d = m.shape
-    suffix = [np.ones(1)]  # suffix[j] is S_{n-1-j}, of length d**j
-    for row in m[:0:-1]:
-        suffix.append(np.multiply.outer(row, suffix[-1]).reshape(-1))
-    out = np.empty((n, d))
-    acc = t
-    for k in range(n):
-        acc = acc.reshape(d, -1)
-        out[k] = acc @ suffix[n - 1 - k]
-        acc = m[k] @ acc
+    marginalizing the full table once per message costs n**2 * d**n.
+
+    Factors go in chunks whose (c, d**(n-1)) intermediate holds at most
+    `_CHUNK` doubles. Only the two steps that read a table, message 0 and the
+    first prefix contraction, run per factor; every later step is one
+    batched matmul over the chunk. Each factor's products are the same
+    matrix-vector products in the same order whatever the chunk size."""
+    n, F, d = m.shape
+    out = np.empty((n, F, d))
+    c = max(1, _CHUNK // d ** (n - 1))
+    for lo in range(0, F, c):
+        mc, tc = m[:, lo:lo + c], tables[lo:lo + c]
+        suffix = [np.ones((len(tc), 1))]  # suffix[j] is S_{n-1-j}, (c, d**j)
+        for row in mc[:0:-1]:
+            suffix.append((row[:, :, None] * suffix[-1][:, None, :]).reshape(len(tc), -1))
+        acc = np.empty((len(tc), d ** (n - 1)))
+        for i, t in enumerate(tc):
+            t = t.reshape(d, -1)
+            np.matmul(t, suffix[-1][i], out=out[0, lo + i])
+            np.matmul(mc[0, i], t, out=acc[i])
+        for k in range(1, n):
+            acc = acc.reshape(len(tc), d, -1)
+            out[k, lo:lo + c] = np.matmul(acc, suffix[n - 1 - k][:, :, None])[:, :, 0]
+            if k < n - 1:
+                acc = np.matmul(mc[k][:, None, :], acc)
     return out
 
 
 def _factor_groups(g: FactorGraph):
     """The parts of a solve that read `g.params`, from the layout's arity
     groups: ((n, F) edges, (n, F, d, R) weights) per low-rank (arity, rank)
-    group and (first edge, table) per dense factor. Dense tables are not
-    stacked per arity: `_dense_messages` reads each in place, O(d**n), where
-    a stack would copy every table on each solve."""
+    group and ((n, F) edges, F flat tables) per arity group's dense factors.
+    Dense tables are not stacked: `_dense_messages` reads each in place,
+    O(d**n), where a stack would copy every table on each solve."""
     groups, dense = [], []
     for ids, edges in g.layout.arities:
         payloads = [g.factors[a].payload for a in ids.tolist()]
-        dense += [(e, p.tensor) for e, p in zip(g.layout.offs[ids].tolist(), payloads)
-                  if isinstance(p, DensePayload)]
-        lowrank = np.flatnonzero([not isinstance(p, DensePayload) for p in payloads])
+        is_dense = np.array([isinstance(p, DensePayload) for p in payloads])
+        if is_dense.any():
+            dense.append((edges[:, is_dense],
+                          [p.tensor.data for p in payloads if isinstance(p, DensePayload)]))
+        lowrank = np.flatnonzero(~is_dense)
         cps = [factor_cp(g, a) for a in ids[lowrank].tolist()]
         ranks = np.array([cp.rank for cp in cps], dtype=np.intp)
         for r in np.unique(ranks):
@@ -143,10 +170,10 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
         raise ValueError(f"damping must be in [0, 1), got {opts.damping}")
 
     groups, dense = _factor_groups(g)
-    var, fac, d = g.layout.var.tolist(), g.layout.fac.tolist(), g.cardinality
+    var, fac, d = g.layout.var, g.layout.fac, g.cardinality
     unary = g.unary if g.unary is not None else np.ones((g.num_vars, d))
     buckets = [(vs, edges, unary[vs]) for vs, edges in g.layout.buckets]
-    v2f = f2v = np.full((len(var), d), 1.0 / d)  # never written in place
+    v2f = f2v = np.full((var.size, d), 1.0 / d)  # never written in place
     trace: list[tuple[int, float]] = []
     delta = math.inf
     iteration = 0
@@ -166,9 +193,8 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
             if raw.min(initial=0.0) < NEGATIVE_TOL:  # dense rows are still 0
                 bad = np.flatnonzero((raw < NEGATIVE_TOL).any(axis=1))
                 negative.append((bad[0], bad.size, raw[bad].min()))
-            for e0, table in dense:
-                n = table.order
-                raw[e0:e0 + n] = _dense_messages(table.data, new_v2f[e0:e0 + n])
+            for edges, tables in dense:
+                raw[edges] = _dense_messages(tables, new_v2f[edges])
             new_f2v = _normalize(raw, "message {}->{}", fac, var)
             if opts.damping:
                 new_f2v = (1.0 - opts.damping) * new_f2v + opts.damping * f2v
@@ -180,7 +206,7 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
                 for msgs, keys in ((new_v2f, (var, fac)), (new_f2v, (fac, var))):
                     bad = np.flatnonzero(~np.isfinite(msgs).all(axis=1))
                     if bad.size:
-                        key = tuple(k[bad[0]] for k in keys)
+                        key = tuple(int(k[bad[0]]) for k in keys)
                         raise FloatingPointError(
                             f"non-finite message {key} at iteration {iteration}")
             v2f, f2v = new_v2f, new_f2v
@@ -195,7 +221,7 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     if negative:
         e = negative[0][0]
         warnings.warn(f"{sum(n[1] for n in negative)} low-rank messages had negative entries "
-                      f"(min {min(n[2] for n in negative):.3e}, first {fac[e]}->{var[e]}); "
+                      f"(min {min(n[2] for n in negative):.3e}, first {int(fac[e])}->{int(var[e])}); "
                       "mixed-sign weights void the probabilistic guarantees",
                       SignViolationWarning, stacklevel=2)
     return BeliefSet(

@@ -1,17 +1,21 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrbp import engine
 from lrbp.engine import (
     LBPOptions,
     SignViolationWarning,
     ZeroMessageError,
     _dense_messages,
+    _factor_groups,
+    _normalize,
     exact_marginals,
     run_lbp,
 )
@@ -352,6 +356,26 @@ class TestRunLBP:
                                match=r"^non-finite message \(1, 1\) at iteration 1$"):
                 run_lbp(g)
 
+    def test_overflowing_row_sum_is_scaled_without_runtime_warnings(self):
+        # every message of the uniform 1.5e308 table is finite, but its sum is not
+        g = build_graph(2, 2, [FactorBinding((0, 1), dense(np.full((2, 2), 1.5e308)))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_lbp(g)
+        assert result.converged
+        assert np.array_equal(result.beliefs, np.full((2, 2), 0.5))
+
+    def test_normalize_scales_only_rows_whose_sum_overflows(self):
+        raw = np.array([[1.5e308, 1.5e308, 0.0], [1.0, 3.0, 0.5], [np.inf, 1.0, 1.0],
+                        [1.7e308, 1e308, 1e300]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _normalize(raw, "row {}", range(4))
+        assert np.array_equal(got[0], [0.5, 0.5, 0.0])
+        assert got[1].tobytes() == (raw[1] / raw[1].sum()).tobytes()
+        assert np.isnan(got[2]).any()
+        scaled = raw[3] / 1.7e308
+        assert got[3].tobytes() == (scaled / scaled.sum()).tobytes()
+
     def test_mixed_sign_weights_warn_once_per_run(self):
         w0 = np.array([[1.0, -0.5], [0.5, 1.0]])
         w1 = np.array([[1.0, 1.0], [0.2, -2.0]])
@@ -518,25 +542,90 @@ class TestDenseMessages:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        num=st.integers(1, 9),
         arity=st.integers(1, 7),
         d=st.integers(2, 4),
         zeros=st.sampled_from([0.0, 0.5, 0.9]),
         seed=st.integers(0, 10**6),
     )
-    def test_matches_marginalize_product_every_slot(self, arity, d, zeros, seed):
+    def test_matches_marginalize_product_every_slot(self, num, arity, d, zeros, seed):
         rng = np.random.default_rng(seed)
 
         def nonnegative(shape):
             return rng.uniform(size=shape) * (rng.uniform(size=shape) >= zeros)
 
-        t = DenseTensor.from_array(nonnegative((d,) * arity))
-        m = nonnegative((arity, d))
-        got = _dense_messages(t.data, m)
-        for k in range(arity):
-            want = marginalize_product(t, list(m), keep=k)
-            # exact zeros agree, so ZeroMessageError names the same edge
-            assert np.array_equal(got[k] == 0.0, want == 0.0)
-            assert np.max(np.abs(got[k] - want)) <= 1e-12 * want.max()
+        ts = [DenseTensor.from_array(nonnegative((d,) * arity)) for _ in range(num)]
+        m = nonnegative((arity, num, d))
+        # chunks of 1 factor, of d factors at arity 1 and at every arity, and the default
+        runs = []
+        for chunk in (1, d, d**arity, engine._CHUNK):
+            with mock.patch.object(engine, "_CHUNK", chunk):
+                runs.append(_dense_messages([t.data for t in ts], m))
+        got = runs[-1]
+        assert got.shape == (arity, num, d)
+        assert all(r.tobytes() == got.tobytes() for r in runs)
+        for f, t in enumerate(ts):
+            for k in range(arity):
+                want = marginalize_product(t, list(m[:, f]), keep=k)
+                # exact zeros agree, so ZeroMessageError names the same edge
+                assert np.array_equal(got[k, f] == 0.0, want == 0.0)
+                assert np.max(np.abs(got[k, f] - want)) <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("chunk", [None, 9])
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_mixed_groups_match_reference_loop(self, damping, chunk):
+        # five factors of each arity 1-6 over d = 3, dense and low-rank in turn,
+        # with the arities interleaved in factor order
+        rng = np.random.default_rng(82)
+        d, num_vars = 3, 12
+        bindings, params = [], {}
+        for j in range(5):
+            for n in range(1, 7):
+                scope = tuple(rng.choice(num_vars, size=n, replace=False).tolist())
+                if j % 2:
+                    params[f"p{n}{j}"] = cp_random(n, d, int(rng.integers(1, 5)),
+                                                   seed=int(rng.integers(1e6)))
+                    bindings.append(FactorBinding(scope, LowRankPayload(f"p{n}{j}")))
+                else:
+                    bindings.append(FactorBinding(scope, dense(rng.uniform(0.1, 1.0, size=(d,) * n))))
+        g = build_graph(num_vars, d, bindings, unary=rng.uniform(0.1, 1.0, size=(num_vars, d)),
+                        params=params)
+        _, dense_groups = _factor_groups(g)
+        assert [(edges.shape, len(tables)) for edges, tables in dense_groups] == [
+            ((n, 3), 3) for n in range(1, 7)]
+        opts = LBPOptions(max_iters=60, tol=1e-10, damping=damping)
+        with mock.patch.object(engine, "_CHUNK", chunk or engine._CHUNK):
+            got = run_lbp(g, opts)
+        beliefs, iterations, converged = reference_lbp(g, opts)
+        assert converged and got.converged and got.iterations_used == iterations
+        assert np.max(np.abs(got.beliefs - beliefs)) <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_zero_row_of_a_later_dense_factor_names_its_edge(self, chunk):
+        # variable 0 is pinned to state 0, so a dense (0, v) factor whose table
+        # row 0 is zero sends v an all-zero message; factors 2 and 3 both do,
+        # and 2->3, the second edge of factor 2, comes first in edge order
+        rng = np.random.default_rng(83)
+        d = 3
+        blocked = rng.uniform(0.1, 1.0, size=(d, d))
+        blocked[0] = 0.0
+        bindings = [
+            FactorBinding((1, 2), dense(rng.uniform(0.1, 1.0, size=(d, d)))),
+            FactorBinding((2, 3), LowRankPayload("p")),
+            FactorBinding((0, 3), dense(blocked)),
+            FactorBinding((0, 4), dense(blocked)),
+        ]
+        unary = np.ones((5, d))
+        unary[0] = [1.0, 0.0, 0.0]
+        g = build_graph(5, d, bindings, unary=unary, params={"p": cp_random(2, d, 2, seed=84)})
+        opts = LBPOptions(max_iters=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with mock.patch.object(engine, "_CHUNK", chunk or engine._CHUNK):
+                with pytest.raises(ZeroMessageError, match=r"^message 2->3 normalized to zero mass$"):
+                    run_lbp(g, opts)
+            with pytest.raises(ZeroMessageError, match=r"^message 2->3 normalized to zero mass$"):
+                reference_lbp(g, opts)
 
     @pytest.mark.parametrize("damping", [0.0, 0.3])
     def test_run_lbp_leaves_marginalize_product_to_the_oracle(self, damping):
