@@ -144,7 +144,7 @@ def _factor_groups(g: FactorGraph):
         ranks = np.array([cp.rank for cp in cps], dtype=np.intp)
         for r in np.unique(ranks):
             sel = np.flatnonzero(ranks == r).tolist()
-            ws = np.array([[cps[f].weights[k] for f in sel] for k in range(edges.shape[0])])
+            ws = np.stack([cps[f].weights for f in sel], axis=1)
             groups.append((edges[:, lowrank[sel]], ws))
     return groups, dense
 

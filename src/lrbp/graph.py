@@ -1,12 +1,14 @@
 """Bipartite variable/factor graph structure and its JSON file format.
 
-Factor scopes are ordered: the k-th scope position binds the k-th weight
-matrix of a low-rank payload. Low-rank payloads live in a parameter table
-keyed by id and may be shared across factors. Graphs are immutable after
-build and safe for concurrent read.
+Factor scopes are ordered: the k-th scope position binds weights[k] of a
+low-rank payload. Low-rank payloads live in a read-only parameter table keyed
+by id and may be shared across factors. Graphs are immutable after build and
+safe for concurrent read: a graph holds read-only copies of its unary and CP
+weights, and only a dense table may alias its caller's array.
 
-Edge order: edge offs[a] + k is slot k of factor a, joining it to variable
-scope[k]. LBP and the neural layer keep one message per edge in this order.
+Edge order: factor a's edges follow all edges of factors 0..a-1, one per slot
+in scope order; its k-th edge joins it to variable scope[k]. LBP and the
+neural layer keep one message per edge in this order.
 `FactorGraph.layout` holds the edge arrays, and its degree buckets are the
 graph's only variable-to-factor adjacency; `FactorGraph.slots` holds the
 neural layer's slot index, its slots grouped by edge count. Each is built on
@@ -16,8 +18,10 @@ concurrent first reads are safe: at worst two threads build equal copies.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,8 +74,8 @@ class FactorGraph:
     num_vars: int
     cardinality: int
     factors: tuple[FactorBinding, ...]
-    params: dict[str, CPFactor]
-    unary: np.ndarray | None  # (num_vars, d) or None (treated as all-ones)
+    params: Mapping[str, CPFactor]  # read-only
+    unary: np.ndarray | None  # read-only (num_vars, d), or None (treated as all-ones)
 
     @cached_property
     def layout(self) -> EdgeLayout:
@@ -81,7 +85,6 @@ class FactorGraph:
         return EdgeLayout(
             var=_read_only(var),
             fac=_read_only(np.repeat(np.arange(arity.size), arity)),
-            offs=_read_only(np.cumsum(arity) - arity),
             arities=_groups_by_size(arity, np.arange(var.size)),
             # a stable sort keeps each variable's edges in factor order
             buckets=_groups_by_size(np.bincount(var, minlength=self.num_vars),
@@ -118,7 +121,6 @@ class EdgeLayout:
 
     var: np.ndarray  # (E,) variable of each edge
     fac: np.ndarray  # (E,) factor of each edge
-    offs: np.ndarray  # (F,) first edge of each factor
     arities: tuple  # ((F_n,) factors, (n, F_n) edges) per arity n
     buckets: tuple  # ((V,) variables, (D, V) edges) per degree D, each column in factor order
 
@@ -168,11 +170,13 @@ def build_graph(
     cardinality: int,
     bindings,
     unary=None,
-    params: dict[str, CPFactor] | None = None,
+    params: Mapping[str, CPFactor] | None = None,
 ) -> FactorGraph:
     """Validate bindings and freeze the graph.
 
-    Factor ordering is preserved from the input. Raises GraphError with the
+    Factor ordering is preserved from the input. The graph keeps a read-only
+    copy of `unary` and a read-only view of a copy of `params`, so later
+    changes to the caller's objects do not reach it. Raises GraphError with the
     offending factor index for out-of-range variables, duplicate variables
     in one scope, or payload shape mismatches.
     """
@@ -180,7 +184,7 @@ def build_graph(
         raise GraphError(f"num_vars must be >= 0, got {num_vars}")
     if cardinality < 2:
         raise GraphError(f"cardinality must be >= 2, got {cardinality}")
-    params = dict(params) if params else {}
+    params = MappingProxyType(dict(params) if params else {})
     bindings = tuple(bindings)
 
     for a, binding in enumerate(bindings):
@@ -217,13 +221,14 @@ def build_graph(
     unary_arr = None
     if unary is not None:
         try:
-            unary_arr = np.ascontiguousarray(unary, dtype=np.float64)
+            unary_arr = np.array(unary, dtype=np.float64, order="C")
         except (TypeError, ValueError) as exc:
             raise GraphError(f"unary: {exc}") from exc
         if unary_arr.shape != (num_vars, cardinality):
             raise GraphError(
                 f"unary has shape {unary_arr.shape}, expected {(num_vars, cardinality)}"
             )
+        _read_only(unary_arr)
 
     return FactorGraph(
         num_vars=num_vars,
@@ -319,7 +324,7 @@ def save_graph(g: FactorGraph, path) -> None:
                 "arity": cp.arity,
                 "d": cp.cardinality,
                 "rank": cp.rank,
-                "weights": [w.tolist() for w in cp.weights],
+                "weights": cp.weights.tolist(),
             }
             for pid, cp in g.params.items()
         },
@@ -356,7 +361,7 @@ def load_graph(path) -> FactorGraph:
                 arity=int(spec["arity"]),
                 cardinality=int(spec["d"]),
                 rank=int(spec["rank"]),
-                weights=tuple(np.asarray(w, dtype=np.float64) for w in spec["weights"]),
+                weights=spec["weights"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"param {pid!r}: {exc}") from exc

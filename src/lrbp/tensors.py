@@ -1,6 +1,6 @@
-"""Dense potential tables, low-rank (CP) factors, conversions between them, and
-the leave-one-out product kernel that LBP and the neural layer share, with its
-derivative for the neural layer's backward.
+"""Dense potential tables, low-rank (CP) factors, the expansion of a CP factor
+to its table, and the leave-one-out product kernel that LBP and the neural
+layer share, with its derivative for the neural layer's backward.
 
 Both kernels take the product along axis 0, the slot axis of the callers'
 slot-major gathers, and share one prefix/suffix scan over its contiguous
@@ -8,11 +8,14 @@ slabs. `leave_one_out` keeps a cumprod branch for a slot axis longer than one
 slab; the derivative runs the same scan over dual numbers.
 
 A dense table stores every entry of an order-m potential; a CP factor stores
-one d x R weight matrix per variable slot and represents the table
-T(i_1..i_m) = sum_r prod_j W_j[i_j, r]. Rank-1 scale coefficients are always
+one (m, d, R) weight array W and represents the table
+T(i_1..i_m) = sum_r prod_j W[j, i_j, r]. Rank-1 scale coefficients are always
 absorbed into the weights, so there is no separate scale vector.
 
-All values are immutable after construction.
+A CP factor owns its weights: it copies them once and marks the copy
+read-only. A dense table aliases the caller's array, as a flat view, when it
+is already C-contiguous float64, since a copy would double a large table's
+memory; such an array must not be written after construction.
 """
 from __future__ import annotations
 
@@ -72,15 +75,17 @@ class DenseTensor:
 class CPFactor:
     """Rank-R factor over `arity` variables of uniform cardinality d.
 
-    weights[j] is the d x R matrix for slot j; column r holds the r-th
-    rank-1 component's vector for that slot. Weight arrays may be shared
-    (aliased) between factors; they must not be mutated after construction.
+    weights is one (arity, d, R) array; weights[j] is the d x R matrix of
+    slot j, whose column r holds the r-th rank-1 component's vector for that
+    slot. The constructor takes any array-like of that shape, such as a
+    sequence of `arity` d x R matrices, and keeps its own C-contiguous,
+    read-only float64 copy.
     """
 
     arity: int
     cardinality: int
     rank: int
-    weights: tuple[np.ndarray, ...]
+    weights: np.ndarray
 
     def __post_init__(self):
         if self.arity < 1:
@@ -89,20 +94,22 @@ class CPFactor:
             raise ValueError(f"cardinality must be >= 2, got {self.cardinality}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        ws = tuple(np.ascontiguousarray(w, dtype=np.float64) for w in self.weights)
-        if len(ws) != self.arity:
-            raise ValueError(f"expected {self.arity} weight matrices, got {len(ws)}")
-        want = (self.cardinality, self.rank)
-        for j, w in enumerate(ws):
-            if w.shape != want:
-                raise ValueError(f"weights[{j}] has shape {w.shape}, expected {want}")
-        object.__setattr__(self, "weights", ws)
+        want = (self.arity, self.cardinality, self.rank)
+        expected = f"expected shape {want}: {self.arity} weight matrices of shape {want[1:]}"
+        try:
+            w = np.array(self.weights, dtype=np.float64, order="C")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"weights do not form one array ({exc}); {expected}") from None
+        if w.shape != want:
+            raise ValueError(f"weights have shape {w.shape}; {expected}")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
 
 
 def cp_expand(f: CPFactor, cap: int = DEFAULT_CAPACITY) -> DenseTensor:
     """Expand a CP factor to its dense table.
 
-    Entry (i_1..i_m) is sum_r prod_j weights[j][i_j, r]; exact up to
+    Entry (i_1..i_m) is sum_r prod_j weights[j, i_j, r]; exact up to
     floating-point accumulation. Raises CapacityError when d**arity
     exceeds `cap`.
     """
@@ -112,7 +119,7 @@ def cp_expand(f: CPFactor, cap: int = DEFAULT_CAPACITY) -> DenseTensor:
             f"expansion of arity-{f.arity} factor with d={f.cardinality} needs "
             f"{n_elements} elements, cap is {cap}"
         )
-    return DenseTensor((f.cardinality,) * f.arity, khatri_rao(list(f.weights)).sum(axis=1))
+    return DenseTensor((f.cardinality,) * f.arity, khatri_rao(f.weights).sum(axis=1))
 
 
 def cp_random(arity: int, d: int, rank: int, seed: int, scale: float = 1.0) -> CPFactor:
@@ -126,12 +133,12 @@ def cp_random(arity: int, d: int, rank: int, seed: int, scale: float = 1.0) -> C
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)
-    weights = tuple(rng.uniform(0.0, scale, size=(d, rank)) for _ in range(arity))
-    return CPFactor(arity, d, rank, weights)
+    return CPFactor(arity, d, rank, rng.uniform(0.0, scale, size=(arity, d, rank)))
 
 
-def khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
-    """Column-wise Kronecker product; the first matrix varies slowest.
+def khatri_rao(mats: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product of the matrices mats[0..m-1] of an
+    (m, d, R) array; the first matrix varies slowest.
 
     Row ordering matches C-order flattening of the corresponding axes.
     """
@@ -139,81 +146,6 @@ def khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
     return out
-
-
-def _solve_normal_eqs(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-    # Cholesky doubles as the singularity probe; singular grams get a ridge.
-    try:
-        np.linalg.cholesky(gram)
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        g = gram + ridge * np.eye(gram.shape[0])
-        return np.linalg.solve(g, rhs)
-
-
-def cp_fit_als(
-    t: DenseTensor,
-    rank: int,
-    max_iters: int = 200,
-    tol: float = 1e-12,
-    seed: int = 0,
-    ridge: float = 1e-9,
-    return_errors: bool = False,
-):
-    """Fit a CP factor to a dense table by alternating least squares.
-
-    Requires uniform axis cardinality. Each mode update solves the normal
-    equations; singular systems (e.g. overparameterized ranks) are
-    regularized with a 1e-9 ridge and the sweep continues. The relative
-    error ||expand(fit) - t||_F / ||t||_F is recomputed per sweep and is
-    non-increasing up to the tiny ridge perturbation. Stops when the error
-    improvement drops below `tol`.
-
-    Returns (factor, final_relative_error), plus the per-sweep error list
-    when return_errors is set.
-    """
-    cards = set(t.shape)
-    if len(cards) != 1:
-        raise ValueError(f"ALS requires uniform axis cardinality, got shape {t.shape}")
-    d = t.shape[0]
-    if d < 2:
-        raise ValueError(f"cardinality must be >= 2 to fit a CP factor, got {d}")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-
-    m = t.order
-    x = t.array
-    norm_x = float(np.linalg.norm(t.data))
-    rng = np.random.default_rng(seed)
-    ws = [rng.uniform(size=(d, rank)) for _ in range(m)]
-
-    def rel_error() -> float:
-        approx = cp_expand(CPFactor(m, d, rank, tuple(ws)), cap=t.size)
-        resid = float(np.linalg.norm(approx.data - t.data))
-        return resid / norm_x if norm_x > 0 else resid
-
-    errors = []
-    prev = None
-    for _ in range(max_iters):
-        for n in range(m):
-            gram = np.ones((rank, rank))
-            for j in range(m):
-                if j != n:
-                    gram *= ws[j].T @ ws[j]
-            unfolded = np.moveaxis(x, n, 0).reshape(d, -1)
-            mttkrp = unfolded @ khatri_rao([ws[j] for j in range(m) if j != n])
-            ws[n] = _solve_normal_eqs(gram, mttkrp.T, ridge).T
-        err = rel_error()
-        errors.append(err)
-        if prev is not None and abs(prev - err) < tol:
-            break
-        prev = err
-
-    factor = CPFactor(m, d, rank, tuple(ws))
-    final = errors[-1] if errors else rel_error()
-    if return_errors:
-        return factor, final, errors
-    return factor, final
 
 
 def _scan(x: np.ndarray, mul) -> np.ndarray:

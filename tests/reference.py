@@ -78,7 +78,7 @@ def factor_to_var_lowrank(state: MessageState, g: FactorGraph, a: int, i: int) -
     cp = factor_cp(g, a)
     scope = g.factors[a].scope
     m = np.array([state.var_to_factor[(j, a)] for j in scope])
-    vec = _lowrank_messages(np.array(cp.weights)[:, None], m[:, None])[scope.index(i), 0]
+    vec = _lowrank_messages(cp.weights[:, None], m[:, None])[scope.index(i), 0]
     if np.any(vec < NEGATIVE_TOL):
         warnings.warn(f"low-rank message {a}->{i} has negative entries (min {vec.min():.3e}); "
                       "mixed-sign weights void the probabilistic guarantees",

@@ -344,10 +344,9 @@ class TestRunLBP:
     def test_infinite_cp_weight_raises_non_finite_without_runtime_warnings(self):
         # the variable-to-factor messages of iteration 1 are finite and only the
         # low-rank factor's outgoing ones are not: the first of them is named
-        cp = cp_random(3, 2, 2, seed=70)
-        w1 = cp.weights[1].copy()
-        w1[0, 1] = np.inf
-        cp = CPFactor(3, 2, 2, (cp.weights[0], w1, cp.weights[2]))
+        w = cp_random(3, 2, 2, seed=70).weights.copy()
+        w[1, 0, 1] = np.inf
+        cp = CPFactor(3, 2, 2, w)
         g = build_graph(4, 2, [FactorBinding((0, 1), dense([[1.0, 0.5], [0.5, 1.0]])),
                                FactorBinding((1, 2, 3), LowRankPayload("p"))], params={"p": cp})
         with warnings.catch_warnings():
@@ -532,7 +531,7 @@ class TestEdgeLayout:
         _, tapes = forward_stack(HiddenStates(np.ones((g.num_vars, 3))), g, p, layers=3)
         assert len(builds) == 1 and all(t.graph is g for t in tapes)
         lay = g.layout
-        arrays = [lay.var, lay.fac, lay.offs, g.slots.slot,
+        arrays = [lay.var, lay.fac, g.slots.slot,
                   *(x for group in lay.arities + lay.buckets + g.slots.groups for x in group)]
         assert not any(x.flags.writeable for x in arrays)
 

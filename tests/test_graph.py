@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrbp.engine import run_lbp
 from lrbp.graph import (
     DensePayload,
     FactorBinding,
@@ -144,6 +145,27 @@ class TestBuildGraph:
         g = build_graph(5, 3, bindings)
         assert bucket_factors(g) == scope_factors(g)
 
+    def test_graph_owns_its_inputs(self):
+        # build copies the unary, the params table and (through CPFactor) the
+        # weights, and exposes them read-only, so no write reaches a solve
+        rng = np.random.default_rng(6)
+        unary, weights = rng.uniform(0.1, 1.0, size=(4, 3)), rng.uniform(0.1, 1.0, size=(3, 3, 2))
+        params = {"p": CPFactor(3, 3, 2, weights)}
+        g = build_graph(4, 3, [FactorBinding((0, 1, 2), LowRankPayload("p")),
+                               FactorBinding((2, 3), dense(rng.uniform(size=(3, 3))))],
+                        unary=unary, params=params)
+        before = run_lbp(g).beliefs
+        unary[:, 0] = 100.0
+        weights[:, 0] = 100.0
+        params["p"] = cp_random(3, 3, 2, seed=6)
+        assert run_lbp(g).beliefs.tobytes() == before.tobytes()
+        with pytest.raises(TypeError):
+            g.params["p"] = params["p"]
+        with pytest.raises(ValueError, match="read-only"):
+            g.unary[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.params["p"].weights[0, 0, 0] = 1.0
+
     def test_equality_is_identity(self):
         # field-wise equality would compare the unary arrays and hash the params dict
         def make():
@@ -248,7 +270,7 @@ class TestGraphFile:
         for pid, cp in g.params.items():
             got = h.params[pid]
             assert (got.arity, got.cardinality, got.rank) == (cp.arity, cp.cardinality, cp.rank)
-            assert all(same_bits(wa, wb) for wa, wb in zip(cp.weights, got.weights))
+            assert same_bits(cp.weights, got.weights)
 
     def test_round_trip_twice_is_identical(self, tmp_path):
         g = self.make_graph()
@@ -290,6 +312,9 @@ class TestGraphFile:
         ("factors", 5, "factors must be a list"),
         ("params", [1], "params an object"),
         ("unary", [[1.0, "x"], [1.0, 1.0]], "unary"),
+        # ragged, and of rank 2 where the spec says 1
+        ("params/p/weights", [[[1.0], [1.0]], [[1.0]]], r"param 'p'.*expected shape \(2, 2, 1\)"),
+        ("params/p/weights", [[[1.0, 1.0]] * 2] * 2, r"param 'p'.*expected shape \(2, 2, 1\)"),
     ])
     def test_malformed_value_reported_as_graph_error(self, tmp_path, path, value, match):
         doc = {

@@ -177,18 +177,18 @@ class TestForward:
         rng = np.random.default_rng(21)
         scopes = [tuple(rng.choice(6, size=n, replace=False)) for n in (2, 3, 4, 2, 4, 3)]
         g = lowrank_graph(6, scopes, d=3, rank=4, seed=22)
-        weights = {sid: w for a in range(len(scopes))
-                   for sid, w in zip(factor_slots(g, a), factor_cp(g, a).weights)}
-        p = init_layer_params(weights, d_h=3, rank=4)
+        # every factor has its own parameter, so its slots p<a>/k follow in edge order
+        p = init_layer_params(g.slots.ids, d_h=3, rank=4)
         named = named_arrays(p)
-        named["slot/w_in"] = named["slot/w_out"] = np.array(list(weights.values()))
+        named["slot/w_in"] = named["slot/w_out"] = np.concatenate(
+            [factor_cp(g, a).weights for a in range(len(scopes))])
         p = replace_arrays(p, named)
         h = rng.uniform(0.1, 1.0, size=(6, 3))
         _, tape = lrbp_forward(HiddenStates(h), g, p)
         expected = np.zeros_like(h)
         for a, scope in enumerate(scopes):
-            w = np.array(factor_cp(g, a).weights)
-            np.add.at(expected, list(scope), _lowrank_messages(w[:, None], h[list(scope)][:, None])[:, 0])
+            w = factor_cp(g, a).weights[:, None]
+            np.add.at(expected, list(scope), _lowrank_messages(w, h[list(scope)][:, None])[:, 0])
         assert np.max(np.abs(tape.agg - expected)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
