@@ -8,18 +8,19 @@ buffer. Every message is L1-normalized as it is produced.
 
 `run_lbp` keeps each message family in one (E, d) array over `g.layout`, in
 the edge order that `lrbp.graph` defines. The layout's edge blocks are
-slot-major, so every gather puts the slot axis first. Low-rank factors are
-grouped by (arity n, rank R): a group projects its (n, F, d) rows through its
-(n, F, d, R) weights, takes the leave-one-out Hadamard product over the slot
-axis and maps back, O(n * d * R) per factor. The dense factors of one arity
-go in one call: a prefix contraction of each table against suffix outer
-products of the rows sends all n messages of a factor in O(d**n). The two
-steps that read a table run per factor, in place; the rest are batched
-matmuls over chunks of factors. Variables are bucketed by degree D: a
-bucket takes the leave-one-out product of its (D, V, d) rows times the unary,
-O(D * d) each. Both leave-one-out products are `tensors.leave_one_out`, which
-scans the slot axis slab by slab, or by cumprod when it is longer than a
-slab.
+slot-major, so every gather puts the slot axis first. The factor groups are
+the layout's blocks, built once per graph; a solve only stacks each low-rank
+block's CP weights. A low-rank block holds the factors of one (arity n,
+rank R): it projects its (n, F, d) rows through its (n, F, d, R) weights,
+takes the leave-one-out Hadamard product over the slot axis and maps back,
+O(n * d * R) per factor. The dense block of one arity goes in one call: a
+prefix contraction of each table against suffix outer products of the rows
+sends all n messages of a factor in O(d**n). The two steps that read a table
+run per factor, in place; the rest are batched matmuls over chunks of
+factors. Variables are bucketed by degree D: a bucket takes the leave-one-out
+product of its (D, V, d) rows times the unary, O(D * d) each. Both
+leave-one-out products are `tensors.leave_one_out`, which scans the slot axis
+slab by slab, or by cumprod when it is longer than a slab.
 
 This edge-array layout is the only one in the package. The one-message dict
 reference and the full-table marginalizer that the tests check `run_lbp`
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DensePayload, FactorGraph, factor_cp, joint_table
+from .graph import FactorGraph, factor_cp, joint_table
 from .tensors import DEFAULT_CAPACITY, leave_one_out
 
 NEGATIVE_TOL = -1e-12
@@ -126,29 +127,6 @@ def _dense_messages(tables: list[np.ndarray], m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_groups(g: FactorGraph):
-    """The parts of a solve that read `g.params`, from the layout's arity
-    groups: ((n, F) edges, (n, F, d, R) weights) per low-rank (arity, rank)
-    group and ((n, F) edges, F flat tables) per arity group's dense factors.
-    Dense tables are not stacked: `_dense_messages` reads each in place,
-    O(d**n), where a stack would copy every table on each solve."""
-    groups, dense = [], []
-    for ids, edges in g.layout.arities:
-        payloads = [g.factors[a].payload for a in ids.tolist()]
-        is_dense = np.array([isinstance(p, DensePayload) for p in payloads])
-        if is_dense.any():
-            dense.append((edges[:, is_dense],
-                          [p.tensor.data for p in payloads if isinstance(p, DensePayload)]))
-        lowrank = np.flatnonzero(~is_dense)
-        cps = [factor_cp(g, a) for a in ids[lowrank].tolist()]
-        ranks = np.array([cp.rank for cp in cps], dtype=np.intp)
-        for r in np.unique(ranks):
-            sel = np.flatnonzero(ranks == r).tolist()
-            ws = np.stack([cps[f].weights for f in sel], axis=1)
-            groups.append((edges[:, lowrank[sel]], ws))
-    return groups, dense
-
-
 def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     """Run synchronous-flooding sum-product LBP until the max-norm message
     change drops below opts.tol or opts.max_iters is reached.
@@ -169,10 +147,16 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     if not 0.0 <= opts.damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {opts.damping}")
 
-    groups, dense = _factor_groups(g)
-    var, fac, d = g.layout.var, g.layout.fac, g.cardinality
+    lay, d = g.layout, g.cardinality
+    var, fac = lay.var, lay.fac
+    # the parts of a solve that read the payloads; dense tables are read in
+    # place, since a stack would copy every table on each solve
+    groups = [(edges, np.stack([factor_cp(g, a).weights for a in ids.tolist()], axis=1))
+              for ids, edges in lay.lowrank]
+    dense = [(edges, [g.factors[a].payload.tensor.data for a in ids.tolist()])
+             for ids, edges in lay.dense]
     unary = g.unary if g.unary is not None else np.ones((g.num_vars, d))
-    buckets = [(vs, edges, unary[vs]) for vs, edges in g.layout.buckets]
+    buckets = [(vs, edges, unary[vs]) for vs, edges in lay.buckets]
     v2f = f2v = np.full((var.size, d), 1.0 / d)  # never written in place
     trace: list[tuple[int, float]] = []
     delta = math.inf

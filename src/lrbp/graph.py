@@ -9,11 +9,13 @@ weights, and only a dense table may alias its caller's array.
 Edge order: factor a's edges follow all edges of factors 0..a-1, one per slot
 in scope order; its k-th edge joins it to variable scope[k]. LBP and the
 neural layer keep one message per edge in this order.
-`FactorGraph.layout` holds the edge arrays, and its degree buckets are the
+`FactorGraph.layout` holds the edge arrays, the factor blocks that LBP and
+the neural layer batch their kernels over, and the degree buckets, the
 graph's only variable-to-factor adjacency; `FactorGraph.slots` holds the
 neural layer's slot index, its slots grouped by edge count. Each is built on
-first use, once per graph, deterministically from the frozen factors only, so
-concurrent first reads are safe: at worst two threads build equal copies.
+first use, once per graph, deterministically from the frozen factors and the
+read-only params, so concurrent first reads are safe: at worst two threads
+build equal copies.
 """
 from __future__ import annotations
 
@@ -82,10 +84,17 @@ class FactorGraph:
         """The edge arrays of this graph, built on first use."""
         arity = np.array([len(b.scope) for b in self.factors], dtype=np.intp)
         var = np.array([v for b in self.factors for v in b.scope], dtype=np.intp)
+        # CP rank of each factor, 0 for a dense one: a block per (arity, rank)
+        rank = np.array([self.params[b.payload.param_id].rank
+                         if isinstance(b.payload, LowRankPayload) else 0
+                         for b in self.factors], dtype=np.intp)
+        blocks = _groups_by_size(arity, np.arange(var.size),
+                                 key=arity * (rank.max(initial=0) + 1) + rank)
         return EdgeLayout(
             var=_read_only(var),
             fac=_read_only(np.repeat(np.arange(arity.size), arity)),
-            arities=_groups_by_size(arity, np.arange(var.size)),
+            lowrank=tuple((ids, e) for ids, e in blocks if rank[ids[0]]),
+            dense=tuple((ids, e) for ids, e in blocks if not rank[ids[0]]),
             # a stable sort keeps each variable's edges in factor order
             buckets=_groups_by_size(np.bincount(var, minlength=self.num_vars),
                                     np.argsort(var, kind="stable")),
@@ -114,14 +123,17 @@ class EdgeLayout:
     """The edges of one graph, in the edge order of the module docstring.
     Every array is read-only, since all calls on the graph share them.
 
-    The edge blocks of `arities` and `buckets` are slot-major and
-    C-contiguous: row k holds slot k of every factor (k-th edge of every
-    variable), so a gather `x[edges]` yields one contiguous slab per slot and
-    leave-one-out products run along axis 0."""
+    The factor blocks partition the factors into the batches of the message
+    kernels: `lowrank` has one block per CP (arity, rank), `dense` one per
+    arity, each in order of arity, then rank. Their edge blocks and those of
+    `buckets` are slot-major and C-contiguous: row k holds slot k of every
+    factor (k-th edge of every variable), so a gather `x[edges]` yields one
+    contiguous slab per slot and leave-one-out products run along axis 0."""
 
     var: np.ndarray  # (E,) variable of each edge
     fac: np.ndarray  # (E,) factor of each edge
-    arities: tuple  # ((F_n,) factors, (n, F_n) edges) per arity n
+    lowrank: tuple  # ((F,) factors, (n, F) edges) per CP (arity n, rank R), columns in factor order
+    dense: tuple  # ((F,) factors, (n, F) edges) per dense arity n, columns in factor order
     buckets: tuple  # ((V,) variables, (D, V) edges) per degree D, each column in factor order
 
 
@@ -136,14 +148,17 @@ class SlotIndex:
     groups: tuple  # ((S_c,) slots, (S_c, c) edges) per edge count c, each row in edge order
 
 
-def _groups_by_size(sizes: np.ndarray, edges: np.ndarray) -> tuple:
-    """((G,) items, (n, G) edges) per distinct size n, slot-major and
-    C-contiguous; item i owns the next sizes[i] entries of `edges`, which form
-    its column of the block."""
+def _groups_by_size(sizes: np.ndarray, edges: np.ndarray, key: np.ndarray | None = None) -> tuple:
+    """((G,) items, (n, G) edges) per distinct integer key, in increasing
+    order, slot-major and C-contiguous; item i owns the next sizes[i] entries
+    of `edges`, which form its column of the block. The key defaults to the
+    size; the items of one key must have one size n."""
+    key = sizes if key is None else key
     starts = np.cumsum(sizes) - sizes
     groups = []
-    for n in np.unique(sizes):
-        ids = np.flatnonzero(sizes == n)
+    for k in np.unique(key):
+        ids = np.flatnonzero(key == k)
+        n = sizes[ids[0]]
         groups.append((_read_only(ids), _read_only(edges[np.arange(n)[:, None] + starts[ids]])))
     return tuple(groups)
 

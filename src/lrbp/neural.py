@@ -8,13 +8,16 @@ parameter slot carries a doubled pair of matrices: W_in transforms before the
 Hadamard product, W_out after.
 
 A layer runs on the graph's edge arrays (`g.layout`, in the edge order that
-`lrbp.graph` defines): one batched matmul over the stacked slot matrices per
-group of slots with the same edge count (`g.slots.groups`), the shared
-`tensors.leave_one_out` kernel on each arity group's slot-major (n, F, R)
-gather, and each node sums its messages over axis 0 of its degree bucket's
-slot-major (D, V, d_h) gather. Its hand-derived backward takes the
-leave-two-out sums from `tensors.leave_one_out_tangent`, the same slab scan
-over dual numbers, never by division.
+`lrbp.graph` defines) and takes its groups from the graph, built once per
+graph: one batched matmul over the stacked slot matrices per group of slots
+with the same edge count (`g.slots.groups`), the shared
+`tensors.leave_one_out` kernel on the slot-major (n, F, R) gather of each of
+the layout's factor blocks (`lowrank` and `dense`, as LBP batches them), and
+each node sums its messages over axis 0 of its degree bucket's slot-major
+(D, V, d_h) gather. Graph slots bind to parameter rows by slot id. Its
+hand-derived backward takes the leave-two-out sums from
+`tensors.leave_one_out_tangent`, the same slab scan over dual numbers, never
+by division.
 Parameters are read-only during a step; all update functions return fresh structures.
 
 A `LayerParams` holds its arrays in one table, keyed by name (see
@@ -26,16 +29,16 @@ null | {"step", "m", "v"}}.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-# factor_slots is re-exported: callers look the slot rule up here
-from .graph import FactorGraph, factor_slots  # noqa: F401
+from .graph import FactorGraph
 from .tensors import leave_one_out, leave_one_out_tangent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class HiddenStates:
     """Per-node real state vectors (num_nodes, d_h) at layer index t."""
 
@@ -49,7 +52,7 @@ class HiddenStates:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class LayerParams:
     """Parameters shared by every layer of a stack, as one named table.
 
@@ -154,11 +157,9 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
         raise FloatingPointError("non-finite input hidden states")
 
     lay, w, sids = g.layout, p.arrays, g.slots.ids
-    # rows[k]: the row of p's slot arrays for g's slot k, by one sort of both id lists
-    names, codes = np.unique(np.array(p.slot_ids + sids, dtype=str), return_inverse=True)
-    row = np.full(names.size, -1)
-    row[codes[:len(p.slot_ids)]] = np.arange(len(p.slot_ids))
-    rows = row[codes[len(p.slot_ids):]]
+    # rows[k]: the row of p's slot arrays for g's slot k
+    index = {sid: k for k, sid in enumerate(p.slot_ids)}
+    rows = np.array([index.get(sid, -1) for sid in sids], dtype=np.intp)
     if np.any(rows < 0):  # sids are in first-appearance order, so the first bad edge is named
         k = np.flatnonzero(rows < 0)[0]
         raise ValueError(f"factor {lay.fac[g.slots.slot == k][0]}: unmapped slot id {sids[k]!r}")
@@ -170,8 +171,8 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     with np.errstate(over="ignore", invalid="ignore"):
         for s, e in g.slots.groups:  # (S_c, c, d_h) @ (S_c, d_h, R)
             u[e] = values[var[e]] @ w["slot/w_in"][rows[s]]
-        for _, ids in lay.arities:
-            loo[ids] = leave_one_out(u[ids])
+        for _, e in lay.lowrank + lay.dense:
+            loo[e] = leave_one_out(u[e])
         for s, e in g.slots.groups:
             msg[e] = loo[e] @ w["slot/w_out"][rows[s]].transpose(0, 2, 1)
     bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
@@ -221,8 +222,8 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
             grads["slot/w_out"][rows[s]] += dmsg[e].transpose(0, 2, 1) @ tape.loo[e]
             dloo[e] = dmsg[e] @ w["slot/w_out"][rows[s]]
         du = np.empty_like(tape.u)
-        for _, ids in g.layout.arities:
-            du[ids] = leave_one_out_tangent(tape.u[ids], dloo[ids])
+        for _, e in g.layout.lowrank + g.layout.dense:
+            du[e] = leave_one_out_tangent(tape.u[e], dloo[e])
         dh_edge = np.empty_like(dmsg)
         for s, e in g.slots.groups:
             grads["slot/w_in"][rows[s]] += tape.h_in[var[e]].transpose(0, 2, 1) @ du[e]
@@ -451,7 +452,8 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
     key, an array by its named_arrays name, a moment as optimizer/<m|v>/<name>),
     and so does an array or moment whose shape disagrees with the slot count,
     d_h, rank, the MLP width (the length of mlp/b1) or the readout width (the
-    length of readout/b). A checkpoint with one array per slot lacks slot/w_in."""
+    length of readout/b), and a slot id that the list repeats. A checkpoint with
+    one array per slot lacks slot/w_in."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -469,6 +471,9 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
     def ids(x):
         if not isinstance(x, list) or not all(isinstance(sid, str) for sid in x):
             raise TypeError("expected a list of slot id strings")
+        repeated = [sid for sid, count in Counter(x).items() if count > 1]
+        if repeated:
+            raise ValueError(f"repeated slot id {repeated[0]!r}")
         return tuple(x)
 
     d_h, rank = field(int, doc, "d_h"), field(int, doc, "rank")

@@ -31,7 +31,7 @@ class CapacityError(Exception):
     """A dense expansion or enumeration would exceed the element cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class DenseTensor:
     """Explicit potential table, flat row-major values (last axis fastest)."""
 
@@ -62,16 +62,8 @@ class DenseTensor:
     def array(self) -> np.ndarray:
         return self.data.reshape(self.shape)
 
-    @property
-    def order(self) -> int:
-        return len(self.shape)
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class CPFactor:
     """Rank-R factor over `arity` variables of uniform cardinality d.
 

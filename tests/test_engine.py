@@ -14,7 +14,6 @@ from lrbp.engine import (
     SignViolationWarning,
     ZeroMessageError,
     _dense_messages,
-    _factor_groups,
     _normalize,
     exact_marginals,
     run_lbp,
@@ -531,8 +530,8 @@ class TestEdgeLayout:
         _, tapes = forward_stack(HiddenStates(np.ones((g.num_vars, 3))), g, p, layers=3)
         assert len(builds) == 1 and all(t.graph is g for t in tapes)
         lay = g.layout
-        arrays = [lay.var, lay.fac, g.slots.slot,
-                  *(x for group in lay.arities + lay.buckets + g.slots.groups for x in group)]
+        arrays = [lay.var, lay.fac, g.slots.slot, *(x for group in lay.lowrank + lay.dense
+                                                     + lay.buckets + g.slots.groups for x in group)]
         assert not any(x.flags.writeable for x in arrays)
 
 
@@ -589,9 +588,24 @@ class TestDenseMessages:
                     bindings.append(FactorBinding(scope, dense(rng.uniform(0.1, 1.0, size=(d,) * n))))
         g = build_graph(num_vars, d, bindings, unary=rng.uniform(0.1, 1.0, size=(num_vars, d)),
                         params=params)
-        _, dense_groups = _factor_groups(g)
-        assert [(edges.shape, len(tables)) for edges, tables in dense_groups] == [
+        lay = g.layout
+        assert [(edges.shape, ids.size) for ids, edges in lay.dense] == [
             ((n, 3), 3) for n in range(1, 7)]
+        # the blocks partition the factors; each holds one kind, one arity and,
+        # for CP, one rank, with its columns in factor order, and is read-only
+        ids = np.concatenate([ids for ids, _ in lay.lowrank + lay.dense])
+        assert np.array_equal(np.sort(ids), np.arange(len(g.factors)))
+        for blocks, low in ((lay.lowrank, True), (lay.dense, False)):
+            for ids, edges in blocks:
+                payloads = [g.factors[a].payload for a in ids]
+                assert all(isinstance(p, LowRankPayload) == low for p in payloads)
+                assert len({len(g.factors[a].scope) for a in ids}) == 1
+                assert not low or len({g.params[p.param_id].rank for p in payloads}) == 1
+                assert np.all(np.diff(ids) > 0)
+                # column j holds the edges of factor ids[j], in scope order
+                assert np.array_equal(edges.T.ravel(), np.flatnonzero(np.isin(lay.fac, ids)))
+                assert not ids.flags.writeable and not edges.flags.writeable
+        assert len(lay.lowrank) > len(lay.dense)  # some arity has two CP ranks
         opts = LBPOptions(max_iters=60, tol=1e-10, damping=damping)
         with mock.patch.object(engine, "_CHUNK", chunk or engine._CHUNK):
             got = run_lbp(g, opts)

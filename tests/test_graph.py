@@ -177,6 +177,24 @@ class TestBuildGraph:
         assert g in {g} and h not in {g}
         assert len({g, h, g}) == 2
 
+    def test_records_holding_arrays_compare_by_identity(self):
+        # field-wise equality would compare arrays (ValueError) and hash them (TypeError)
+        from lrbp.neural import HiddenStates, init_layer_params
+
+        for make in (lambda: cp_random(2, 2, 2, seed=0),
+                     lambda: DenseTensor.from_array(np.ones((2, 2))),
+                     lambda: HiddenStates(np.ones((2, 3))),
+                     lambda: init_layer_params(["a"], d_h=3, rank=2)):
+            x = make()
+            assert x == x and x != make() and hash(x) == hash(x)
+        t = DenseTensor.from_array(np.ones((2, 2)))
+        binding = FactorBinding((0, 1), DensePayload(t))
+        assert binding == FactorBinding((0, 1), DensePayload(t))
+        assert binding != FactorBinding((0, 1), dense(t.array))
+        assert len({binding, FactorBinding((0, 1), DensePayload(t))}) == 1
+        # a low-rank payload keeps value equality
+        assert LowRankPayload("p") == LowRankPayload("p")
+
 
 class TestJointTable:
     def test_single_unary(self):

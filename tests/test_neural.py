@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from lrbp import neural
 from lrbp.engine import _lowrank_messages
-from lrbp.graph import FactorBinding, LowRankPayload, build_graph, factor_cp
+from lrbp.graph import FactorBinding, LowRankPayload, build_graph, factor_cp, factor_slots
 from lrbp.neural import (
     HiddenStates,
     LayerParams,
     adam_init,
     adam_step,
     backward_stack,
-    factor_slots,
     forward_stack,
     grad_check,
     graph_slot_ids,
@@ -129,6 +128,10 @@ class TestForward:
         g = lowrank_graph(3, [(0, 1), (1, 2)], slot_lists=[("sa", "zz"), ("yy", "sa")])
         with pytest.raises(ValueError, match="factor 0: unmapped slot id 'zz'"):
             lrbp_forward(HiddenStates(np.zeros((3, 2))), g, p)
+        # ids match exactly: a trailing NUL is part of the id
+        g = lowrank_graph(2, [(0, 1)], slot_lists=[("a", "a")])
+        with pytest.raises(ValueError, match="factor 0: unmapped slot id 'a'"):
+            lrbp_forward(h, g, init_layer_params(["a\x00"], d_h=2, rank=2))
 
     def test_non_finite_input_rejected(self):
         g = lowrank_graph(2, [(0, 1)])
@@ -734,6 +737,7 @@ class TestCheckpoint:
         ("mlp/b1", [[1.0, "x"]], "field mlp/b1"),
         ("slots", 5, "field slots"),
         ("slots", "ab", "field slots"),
+        ("slots", ["a", "a"], "field slots: repeated slot id 'a'"),
     ])
     def test_malformed_checkpoint_reported(self, tmp_path, name, value, match):
         p = init_layer_params(["a", "b"], d_h=3, rank=2, d_mlp=4, seed=0)
