@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FactorGraph, factor_cp, joint_table
-from .tensors import DEFAULT_CAPACITY, leave_one_out
+from .tensors import leave_one_out
 
 NEGATIVE_TOL = -1e-12
 # doubles in one chunk's intermediate in `_dense_messages` (512 KiB)
@@ -93,8 +93,8 @@ def _lowrank_messages(w: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _dense_messages(tables: list[np.ndarray], m: np.ndarray) -> np.ndarray:
     """Unnormalized messages of F dense factors of arity n: message k of
-    factor f sums the flat (d**n,) table `tables[f]` times every row of
-    m[:, f] but row k, for slot-major (n, F, d) incoming `m`.
+    factor f sums the C-contiguous (d,) * n table `tables[f]` times every row
+    of m[:, f] but row k, for slot-major (n, F, d) incoming `m`.
 
     With S_k the outer product of rows k+1..n-1 and `acc` the table already
     contracted with rows 0..k-1, message k is `acc @ S_k` over acc's leading
@@ -153,7 +153,7 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     # place, since a stack would copy every table on each solve
     groups = [(edges, np.stack([factor_cp(g, a).weights for a in ids.tolist()], axis=1))
               for ids, edges in lay.lowrank]
-    dense = [(edges, [g.factors[a].payload.tensor.data for a in ids.tolist()])
+    dense = [(edges, [g.factors[a].payload.table for a in ids.tolist()])
              for ids, edges in lay.dense]
     unary = g.unary if g.unary is not None else np.ones((g.num_vars, d))
     buckets = [(vs, edges, unary[vs]) for vs, edges in lay.buckets]
@@ -217,15 +217,14 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     )
 
 
-def exact_marginals(g: FactorGraph, cap: int = DEFAULT_CAPACITY) -> BeliefSet:
+def exact_marginals(g: FactorGraph) -> BeliefSet:
     """Exact per-variable marginals by summing the joint table.
 
-    Ground truth for tree tests; subject to the capacity cap.
+    Ground truth for tree tests; raises CapacityError as `joint_table` does.
     """
-    joint, z = joint_table(g, cap=cap)
-    arr = joint.array
+    joint, z = joint_table(g)
     out = np.empty((g.num_vars, g.cardinality))
     for i in range(g.num_vars):
         axes = tuple(ax for ax in range(g.num_vars) if ax != i)
-        out[i] = arr.sum(axis=axes) / z if axes else arr / z
+        out[i] = joint.sum(axis=axes) / z if axes else joint / z
     return BeliefSet(beliefs=out, converged=True, iterations_used=0, final_delta=0.0)

@@ -4,7 +4,11 @@ Factor scopes are ordered: the k-th scope position binds weights[k] of a
 low-rank payload. Low-rank payloads live in a read-only parameter table keyed
 by id and may be shared across factors. Graphs are immutable after build and
 safe for concurrent read: a graph holds read-only copies of its unary and CP
-weights, and only a dense table may alias its caller's array.
+weights. A dense payload holds its table as one read-only (d,) * arity
+float64 array. That is a read-only view of the caller's array when it is
+already C-contiguous float64, since a copy would double a large table's
+memory, so such an array must not be written after construction; any other
+input is copied.
 
 Edge order: factor a's edges follow all edges of factors 0..a-1, one per slot
 in scope order; its k-th edge joins it to variable scope[k]. LBP and the
@@ -27,16 +31,25 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .tensors import DEFAULT_CAPACITY, CapacityError, CPFactor, DenseTensor, cp_expand
+from .tensors import CAPACITY, CapacityError, CPFactor, cp_expand
 
 
 class GraphError(ValueError):
     """Graph construction or file-format violation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: the field holds an array
 class DensePayload:
-    tensor: DenseTensor
+    """An explicit potential table, a read-only float64 array that may view
+    the caller's array (see the module docstring). `build_graph` checks its
+    shape."""
+
+    table: np.ndarray
+
+    def __post_init__(self):
+        table = np.asarray(self.table, dtype=np.float64, order="C").view()
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)
@@ -50,7 +63,8 @@ class FactorBinding:
 
     slot_ids optionally names a per-position parameter key for each scope
     slot; the neural layer and the sharing-scheme builders use these, the
-    classical engine ignores them.
+    classical engine ignores them. Raises GraphError for a scope entry that
+    is not an integer or a slot id that is not a string.
     """
 
     scope: tuple[int, ...]
@@ -58,13 +72,17 @@ class FactorBinding:
     slot_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scope", tuple(int(v) for v in self.scope))
+        object.__setattr__(self, "scope", tuple(_integer(v, "scope entry") for v in self.scope))
         if self.slot_ids is not None:
-            if len(self.slot_ids) != len(self.scope):
+            slot_ids = tuple(self.slot_ids)
+            if len(slot_ids) != len(self.scope):
                 raise GraphError(
-                    f"slot_ids length {len(self.slot_ids)} != scope length {len(self.scope)}"
+                    f"slot_ids length {len(slot_ids)} != scope length {len(self.scope)}"
                 )
-            object.__setattr__(self, "slot_ids", tuple(self.slot_ids))
+            for sid in slot_ids:
+                if not isinstance(sid, str):
+                    raise GraphError(f"slot ids must be strings, got {sid!r}")
+            object.__setattr__(self, "slot_ids", slot_ids)
 
     @property
     def arity(self) -> int:
@@ -163,6 +181,17 @@ def _groups_by_size(sizes: np.ndarray, edges: np.ndarray, key: np.ndarray | None
     return tuple(groups)
 
 
+def _integer(value, field: str) -> int:
+    """`value` as an int if it is a Python or NumPy integer, and not a bool;
+    otherwise GraphError naming `field`, so that 2.5 or true is refused
+    rather than truncated."""
+    if type(value) is int:  # the usual case, and the cheapest check
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise GraphError(f"{field} must be an integer, got {value!r}")
+
+
 def _read_only(x: np.ndarray) -> np.ndarray:
     x.flags.writeable = False
     return x
@@ -214,9 +243,9 @@ def build_graph(
         payload = binding.payload
         if isinstance(payload, DensePayload):
             want = (cardinality,) * len(scope)
-            if payload.tensor.shape != want:
+            if payload.table.shape != want:
                 raise GraphError(
-                    f"factor {a}: dense payload shape {payload.tensor.shape}, expected {want}"
+                    f"factor {a}: dense payload shape {payload.table.shape}, expected {want}"
                 )
         elif isinstance(payload, LowRankPayload):
             if payload.param_id not in params:
@@ -262,46 +291,46 @@ def factor_cp(g: FactorGraph, a: int) -> CPFactor:
     return g.params[payload.param_id]
 
 
-def factor_table(g: FactorGraph, a: int, cap: int = DEFAULT_CAPACITY) -> DenseTensor:
-    """Dense table of factor `a`, expanding a low-rank payload if needed."""
+def factor_table(g: FactorGraph, a: int) -> np.ndarray:
+    """(d,) * arity table of factor `a`, expanding a low-rank payload if needed."""
     payload = g.factors[a].payload
     if isinstance(payload, DensePayload):
-        return payload.tensor
-    return cp_expand(g.params[payload.param_id], cap=cap)
+        return payload.table
+    return cp_expand(g.params[payload.param_id])
 
 
-def joint_table(g: FactorGraph, cap: int = DEFAULT_CAPACITY) -> tuple[DenseTensor, float]:
-    """Full joint potential over all variables and its total mass Z.
+def joint_table(g: FactorGraph) -> tuple[np.ndarray, float]:
+    """Full (d,) * num_vars joint potential and its total mass Z.
 
     The exact-inference oracle: multiplies every factor table (low-rank
     payloads expanded) and the unary potentials over the d**num_vars grid.
-    Raises CapacityError past the element cap and GraphError when Z == 0.
+    Raises CapacityError past CAPACITY elements and GraphError when Z == 0.
     """
     d, n = g.cardinality, g.num_vars
     n_elements = d**n
-    if n_elements > cap:
+    if n_elements > CAPACITY:
         raise CapacityError(
             f"joint table over {n} variables with d={d} needs {n_elements} elements, "
-            f"cap is {cap}"
+            f"capacity is {CAPACITY}"
         )
+    # a plain product, not np.einsum, which turns a -0.0 product into +0.0
     joint = np.ones((d,) * n)
     if g.unary is not None:
         for i in range(n):
-            shape = [1] * n
-            shape[i] = d
-            joint = joint * g.unary[i].reshape(shape)
+            joint = joint * _on_axes(g.unary[i], (i,), n)
     for a, binding in enumerate(g.factors):
-        table = factor_table(g, a, cap=cap).array
-        order = np.argsort(binding.scope)
-        aligned = np.transpose(table, order)
-        shape = [1] * n
-        for v in sorted(binding.scope):
-            shape[v] = d
-        joint = joint * aligned.reshape(shape)
+        joint = joint * _on_axes(factor_table(g, a), binding.scope, n)
     z = float(joint.sum())
     if z == 0.0:
         raise GraphError("degenerate distribution: joint table has zero total mass")
-    return DenseTensor.from_array(joint), z
+    return joint, z
+
+
+def _on_axes(table: np.ndarray, scope, n: int) -> np.ndarray:
+    """`table` as an n-d array that broadcasts against the joint, its axis k
+    on axis scope[k]."""
+    missing = [v for v in range(n) if v not in scope]
+    return np.expand_dims(np.transpose(table, np.argsort(scope)), missing)
 
 
 def _payload_to_json(binding: FactorBinding) -> dict:
@@ -309,8 +338,8 @@ def _payload_to_json(binding: FactorBinding) -> dict:
     if isinstance(payload, DensePayload):
         return {
             "kind": "dense",
-            "shape": list(payload.tensor.shape),
-            "data": payload.tensor.data.tolist(),
+            "shape": list(payload.table.shape),
+            "data": payload.table.ravel().tolist(),
         }
     return {"kind": "lowrank", "param_id": payload.param_id}
 
@@ -358,14 +387,12 @@ def load_graph(path) -> FactorGraph:
     if not isinstance(doc, dict):
         raise GraphError(f"graph file holds a JSON {type(doc).__name__}, expected an object")
     try:
-        num_vars = int(doc["num_vars"])
-        cardinality = int(doc["cardinality"])
+        num_vars = _integer(doc["num_vars"], "num_vars")
+        cardinality = _integer(doc["cardinality"], "cardinality")
         raw_factors = doc["factors"]
         raw_params = doc.get("params") or {}
     except KeyError as exc:
         raise GraphError(f"graph file missing required field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise GraphError(f"graph file: num_vars and cardinality must be integers: {exc}") from exc
     if not isinstance(raw_factors, list) or not isinstance(raw_params, dict):
         raise GraphError("graph file: factors must be a list and params an object")
 
@@ -373,9 +400,9 @@ def load_graph(path) -> FactorGraph:
     for pid, spec in raw_params.items():
         try:
             params[pid] = CPFactor(
-                arity=int(spec["arity"]),
-                cardinality=int(spec["d"]),
-                rank=int(spec["rank"]),
+                arity=_integer(spec["arity"], "arity"),
+                cardinality=_integer(spec["d"], "d"),
+                rank=_integer(spec["rank"], "rank"),
                 weights=spec["weights"],
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -384,22 +411,23 @@ def load_graph(path) -> FactorGraph:
     bindings = []
     for a, spec in enumerate(raw_factors):
         try:
-            scope = tuple(int(v) for v in spec["scope"])
             payload_spec = spec["payload"]
             kind = payload_spec["kind"]
             if kind == "dense":
-                payload = DensePayload(DenseTensor(
-                    tuple(int(s) for s in payload_spec["shape"]),
-                    np.asarray(payload_spec["data"], dtype=np.float64),
-                ))
+                shape = [_integer(s, "shape entry") for s in payload_spec["shape"]]
+                # np.reshape would take a -1 as "infer this axis"
+                if min(shape, default=1) < 1:
+                    raise ValueError(f"dense shape {shape} has an axis below 1")
+                data = np.asarray(payload_spec["data"], dtype=np.float64)
+                payload = DensePayload(data.reshape(shape))
             elif kind == "lowrank":
                 payload = LowRankPayload(str(payload_spec["param_id"]))
             else:
                 raise ValueError(f"unknown payload kind {kind!r}")
             slots = spec.get("slots")
-            bindings.append(
-                FactorBinding(scope, payload, tuple(slots) if slots is not None else None)
-            )
+            if slots is not None and not isinstance(slots, list):
+                raise ValueError(f"slots must be null or a list, got {slots!r}")
+            bindings.append(FactorBinding(spec["scope"], payload, slots))
         except KeyError as exc:
             raise GraphError(f"factor {a}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:

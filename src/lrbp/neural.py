@@ -40,10 +40,9 @@ from .tensors import leave_one_out, leave_one_out_tangent
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class HiddenStates:
-    """Per-node real state vectors (num_nodes, d_h) at layer index t."""
+    """Per-node real state vectors (num_nodes, d_h)."""
 
     values: np.ndarray
-    t: int = 0
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -189,7 +188,7 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     out = r @ w["mlp/w2"].T + w["mlp/b2"]
     new_values = values + out
     tape = Tape(params=p, h_in=values, graph=g, rows=rows, u=u, loo=loo, agg=agg, z=z, r=r)
-    return HiddenStates(new_values, h.t + 1), tape
+    return HiddenStates(new_values), tape
 
 
 def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:

@@ -1,66 +1,31 @@
-"""Dense potential tables, low-rank (CP) factors, the expansion of a CP factor
-to its table, and the leave-one-out product kernel that LBP and the neural
-layer share, with its derivative for the neural layer's backward.
+"""Low-rank (CP) factors, the expansion of a CP factor to its dense table,
+and the leave-one-out product kernel that LBP and the neural layer share,
+with its derivative for the neural layer's backward.
 
 Both kernels take the product along axis 0, the slot axis of the callers'
 slot-major gathers, and share one prefix/suffix scan over its contiguous
 slabs. `leave_one_out` keeps a cumprod branch for a slot axis longer than one
 slab; the derivative runs the same scan over dual numbers.
 
-A dense table stores every entry of an order-m potential; a CP factor stores
-one (m, d, R) weight array W and represents the table
-T(i_1..i_m) = sum_r prod_j W[j, i_j, r]. Rank-1 scale coefficients are always
-absorbed into the weights, so there is no separate scale vector.
-
-A CP factor owns its weights: it copies them once and marks the copy
-read-only. A dense table aliases the caller's array, as a flat view, when it
-is already C-contiguous float64, since a copy would double a large table's
-memory; such an array must not be written after construction.
+A dense table is a plain (d,) * m float64 array holding every entry of an
+order-m potential; a CP factor stores one (m, d, R) weight array W and
+represents the table T(i_1..i_m) = sum_r prod_j W[j, i_j, r]. Rank-1 scale
+coefficients are always absorbed into the weights, so there is no separate
+scale vector. A CP factor owns its weights: it copies them once and marks the
+copy read-only.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CAPACITY = 10_000_000
+# the most elements a dense expansion or enumeration may hold
+CAPACITY = 10_000_000
 
 
 class CapacityError(Exception):
-    """A dense expansion or enumeration would exceed the element cap."""
-
-
-@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
-class DenseTensor:
-    """Explicit potential table, flat row-major values (last axis fastest)."""
-
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
-        if not shape:
-            raise ValueError("tensor shape must be non-empty")
-        if any(s < 1 for s in shape):
-            raise ValueError(f"axis cardinalities must be >= 1, got {shape}")
-        data = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
-        if data.size != math.prod(shape):
-            raise ValueError(
-                f"data length {data.size} does not match shape {shape} "
-                f"(expected {math.prod(shape)})"
-            )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_array(cls, arr) -> "DenseTensor":
-        a = np.asarray(arr, dtype=np.float64)
-        return cls(a.shape, a.reshape(-1))
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.data.reshape(self.shape)
+    """A dense expansion or enumeration would exceed CAPACITY elements."""
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
@@ -98,20 +63,24 @@ class CPFactor:
         object.__setattr__(self, "weights", w)
 
 
-def cp_expand(f: CPFactor, cap: int = DEFAULT_CAPACITY) -> DenseTensor:
-    """Expand a CP factor to its dense table.
+def cp_expand(f: CPFactor) -> np.ndarray:
+    """Expand a CP factor to its (d,) * arity dense table.
 
     Entry (i_1..i_m) is sum_r prod_j weights[j, i_j, r]; exact up to
     floating-point accumulation. Raises CapacityError when d**arity
-    exceeds `cap`.
+    exceeds CAPACITY.
     """
     n_elements = f.cardinality**f.arity
-    if n_elements > cap:
+    if n_elements > CAPACITY:
         raise CapacityError(
             f"expansion of arity-{f.arity} factor with d={f.cardinality} needs "
-            f"{n_elements} elements, cap is {cap}"
+            f"{n_elements} elements, capacity is {CAPACITY}"
         )
-    return DenseTensor((f.cardinality,) * f.arity, khatri_rao(f.weights).sum(axis=1))
+    # column-wise Kronecker product of the slot matrices, the first varying slowest
+    rows = f.weights[0]
+    for w in f.weights[1:]:
+        rows = (rows[:, None, :] * w[None, :, :]).reshape(-1, f.rank)
+    return rows.sum(axis=1).reshape((f.cardinality,) * f.arity)
 
 
 def cp_random(arity: int, d: int, rank: int, seed: int, scale: float = 1.0) -> CPFactor:
@@ -126,18 +95,6 @@ def cp_random(arity: int, d: int, rank: int, seed: int, scale: float = 1.0) -> C
         raise ValueError(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)
     return CPFactor(arity, d, rank, rng.uniform(0.0, scale, size=(arity, d, rank)))
-
-
-def khatri_rao(mats: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product of the matrices mats[0..m-1] of an
-    (m, d, R) array; the first matrix varies slowest.
-
-    Row ordering matches C-order flattening of the corresponding axes.
-    """
-    out = mats[0]
-    for m in mats[1:]:
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
-    return out
 
 
 def _scan(x: np.ndarray, mul) -> np.ndarray:

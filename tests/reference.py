@@ -16,7 +16,6 @@ import numpy as np
 
 from lrbp.engine import NEGATIVE_TOL, SignViolationWarning, _lowrank_messages, _normalize
 from lrbp.graph import FactorGraph, factor_cp, factor_table
-from lrbp.tensors import DEFAULT_CAPACITY, DenseTensor
 
 
 @dataclass
@@ -56,19 +55,17 @@ def var_to_factor_update(state: MessageState, g: FactorGraph, i: int, a: int) ->
     return _normalize(prod, f"message {i}->{a}")
 
 
-def factor_to_var_dense(
-    state: MessageState, g: FactorGraph, a: int, i: int, cap: int = DEFAULT_CAPACITY
-) -> np.ndarray:
+def factor_to_var_dense(state: MessageState, g: FactorGraph, a: int, i: int) -> np.ndarray:
     """Factor-to-variable update by dense marginalization.
 
-    Low-rank payloads are expanded first, subject to the capacity cap.
+    Low-rank payloads are expanded first, subject to `CAPACITY`.
     """
     binding = g.factors[a]
     pos = binding.scope.index(i)
     incoming = [
         None if j == i else state.var_to_factor[(j, a)] for j in binding.scope
     ]
-    vec = marginalize_product(factor_table(g, a, cap=cap), incoming, keep=pos)
+    vec = marginalize_product(factor_table(g, a), incoming, keep=pos)
     return _normalize(vec, f"message {a}->{i}")
 
 
@@ -95,15 +92,14 @@ def beliefs_from_messages(g: FactorGraph, state: MessageState) -> np.ndarray:
     return _normalize(out, "belief of variable {}", range(g.num_vars))
 
 
-def marginalize_product(t: DenseTensor, incoming, keep: int) -> np.ndarray:
+def marginalize_product(arr: np.ndarray, incoming, keep: int) -> np.ndarray:
     """Sum out all axes but `keep` after weighting by the incoming messages.
 
-    Computes sum over all other axes of t * prod_{j != keep} incoming[j],
+    Computes sum over all other axes of arr * prod_{j != keep} incoming[j],
     by direct (vectorized) enumeration of the full table. `incoming` has one
     vector per axis; the entry at `keep` is a placeholder and is ignored
     (None is fine). This is the dense factor-to-variable oracle.
     """
-    arr = t.array
     m = arr.ndim
     if not 0 <= keep < m:
         raise ValueError(f"keep axis {keep} out of range for order-{m} tensor")

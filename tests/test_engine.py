@@ -19,7 +19,7 @@ from lrbp.engine import (
     run_lbp,
 )
 from lrbp.graph import DensePayload, FactorBinding, LowRankPayload, build_graph
-from lrbp.tensors import CPFactor, DenseTensor, cp_expand, cp_random
+from lrbp.tensors import CPFactor, cp_expand, cp_random
 from reference import (
     MessageState,
     beliefs_from_messages,
@@ -29,10 +29,6 @@ from reference import (
     marginalize_product,
     var_to_factor_update,
 )
-
-
-def dense(arr):
-    return DensePayload(DenseTensor.from_array(arr))
 
 
 def single_cp_graph(cp, num_vars=None):
@@ -53,7 +49,7 @@ def marginal_oracle(g, i):
     relative to joint_table's axis order, to stay independent of it)."""
     from lrbp.graph import factor_table
 
-    tables = [factor_table(g, a).array for a in range(len(g.factors))]
+    tables = [factor_table(g, a) for a in range(len(g.factors))]
     p = np.zeros(g.cardinality)
     for state in itertools.product(range(g.cardinality), repeat=g.num_vars):
         assignment = dict(zip(reversed(range(g.num_vars)), state))
@@ -87,7 +83,7 @@ def random_tree_graph(rng, max_vars=12, max_arity=5, lowrank_prob=0.5):
             params[pid] = cp_random(len(scope), d, int(rng.integers(1, 9)), seed=int(rng.integers(1e6)))
             bindings.append(FactorBinding(scope, LowRankPayload(pid)))
         else:
-            bindings.append(FactorBinding(scope, dense(rng.uniform(0.1, 1.0, size=(d,) * len(scope)))))
+            bindings.append(FactorBinding(scope, DensePayload(rng.uniform(0.1, 1.0, size=(d,) * len(scope)))))
         attached.extend(fresh)
         fid += 1
     unary = rng.uniform(0.1, 1.0, size=(num_vars, d))
@@ -96,8 +92,8 @@ def random_tree_graph(rng, max_vars=12, max_arity=5, lowrank_prob=0.5):
 
 class TestInitMessages:
     def test_uniform_chain(self):
-        g = build_graph(3, 2, [FactorBinding((0, 1), dense(np.ones((2, 2)))),
-                               FactorBinding((1, 2), dense(np.ones((2, 2))))])
+        g = build_graph(3, 2, [FactorBinding((0, 1), DensePayload(np.ones((2, 2)))),
+                               FactorBinding((1, 2), DensePayload(np.ones((2, 2))))])
         state = init_messages(g)
         for vec in list(state.var_to_factor.values()) + list(state.factor_to_var.values()):
             assert np.array_equal(vec, [0.5, 0.5])
@@ -116,12 +112,12 @@ class TestInitMessages:
 
 class TestVarToFactor:
     def test_sole_factor_no_unary_is_uniform(self):
-        g = build_graph(1, 2, [FactorBinding((0,), dense(np.array([3.0, 1.0])))])
+        g = build_graph(1, 2, [FactorBinding((0,), DensePayload(np.array([3.0, 1.0])))])
         state = init_messages(g)
         assert np.array_equal(var_to_factor_update(state, g, 0, 0), [0.5, 0.5])
 
     def test_uniform_is_identity_under_normalization(self):
-        coupling = dense(np.ones((2, 2)))
+        coupling = DensePayload(np.ones((2, 2)))
         g = build_graph(
             3, 2, [FactorBinding((0, 1), coupling), FactorBinding((0, 2), coupling),
                    FactorBinding((0, 1), coupling)]
@@ -132,7 +128,7 @@ class TestVarToFactor:
         np.testing.assert_allclose(var_to_factor_update(state, g, 0, 0), [0.8, 0.2], atol=1e-15)
 
     def test_matches_direct_product_oracle(self):
-        coupling = dense(np.ones((3, 3)))
+        coupling = DensePayload(np.ones((3, 3)))
         g = build_graph(
             2, 3,
             [FactorBinding((0, 1), coupling) for _ in range(4)],
@@ -150,7 +146,7 @@ class TestVarToFactor:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_zero_product_raises(self):
-        coupling = dense(np.ones((2, 2)))
+        coupling = DensePayload(np.ones((2, 2)))
         g = build_graph(2, 2, [FactorBinding((0, 1), coupling), FactorBinding((0, 1), coupling)])
         state = init_messages(g)
         state.factor_to_var[(1, 0)] = np.array([0.0, 0.0])
@@ -160,13 +156,13 @@ class TestVarToFactor:
 
 class TestFactorToVarDense:
     def test_identity_coupling_copies_message(self):
-        g = build_graph(2, 2, [FactorBinding((0, 1), dense(np.eye(2)))])
+        g = build_graph(2, 2, [FactorBinding((0, 1), DensePayload(np.eye(2)))])
         state = init_messages(g)
         state.var_to_factor[(1, 0)] = np.array([1.0, 0.0])
         np.testing.assert_allclose(factor_to_var_dense(state, g, 0, 0), [1.0, 0.0])
 
     def test_all_ones_factor_is_uninformative(self):
-        g = build_graph(2, 3, [FactorBinding((0, 1), dense(np.ones((3, 3))))])
+        g = build_graph(2, 3, [FactorBinding((0, 1), DensePayload(np.ones((3, 3))))])
         state = init_messages(g)
         state.var_to_factor[(1, 0)] = np.array([0.7, 0.2, 0.1])
         np.testing.assert_allclose(factor_to_var_dense(state, g, 0, 0), np.ones(3) / 3)
@@ -174,7 +170,7 @@ class TestFactorToVarDense:
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(30)
         table = rng.uniform(size=(2, 2, 2, 2))
-        g = build_graph(4, 2, [FactorBinding((0, 1, 2, 3), dense(table))])
+        g = build_graph(4, 2, [FactorBinding((0, 1, 2, 3), DensePayload(table))])
         state = init_messages(g)
         set_messages(state, g, 0, rng)
         for pos, i in enumerate(g.factors[0].scope):
@@ -267,13 +263,13 @@ class TestRunLBP:
         cp = cp_random(4, 2, 6, seed=56)
         bindings = [
             FactorBinding((0, 1, 2, 3), LowRankPayload("p")),
-            FactorBinding((0, 4), dense(rng.uniform(0.2, 1.0, size=(2, 2)))),
-            FactorBinding((3, 4, 5), dense(rng.uniform(0.2, 1.0, size=(2, 2, 2)))),
-            FactorBinding((2, 5), dense(rng.uniform(0.2, 1.0, size=(2, 2)))),
+            FactorBinding((0, 4), DensePayload(rng.uniform(0.2, 1.0, size=(2, 2)))),
+            FactorBinding((3, 4, 5), DensePayload(rng.uniform(0.2, 1.0, size=(2, 2, 2)))),
+            FactorBinding((2, 5), DensePayload(rng.uniform(0.2, 1.0, size=(2, 2)))),
         ]
         unary = rng.uniform(0.2, 1.0, size=(6, 2))
         g = build_graph(6, 2, bindings, unary=unary, params={"p": cp})
-        dense_bindings = [FactorBinding((0, 1, 2, 3), dense(cp_expand(cp).array))] + bindings[1:]
+        dense_bindings = [FactorBinding((0, 1, 2, 3), DensePayload(cp_expand(cp)))] + bindings[1:]
         g_dense = build_graph(6, 2, dense_bindings, unary=unary)
         opts = LBPOptions(max_iters=300, tol=1e-12)
         lr = run_lbp(g, opts)
@@ -306,23 +302,23 @@ class TestRunLBP:
         assert np.allclose(result.beliefs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_max_iters_zero_reports_unconverged(self):
-        g = build_graph(2, 2, [FactorBinding((0, 1), dense(np.ones((2, 2))))])
+        g = build_graph(2, 2, [FactorBinding((0, 1), DensePayload(np.ones((2, 2))))])
         result = run_lbp(g, LBPOptions(max_iters=0))
         assert not result.converged and result.iterations_used == 0
         np.testing.assert_allclose(result.beliefs, 0.5)
 
     def test_hard_contradiction_raises_zero_message(self):
         # XOR-style contradictory hard constraints drive a product to zero
-        eq = dense(np.eye(2))
-        neq = dense(1.0 - np.eye(2))
+        eq = DensePayload(np.eye(2))
+        neq = DensePayload(1.0 - np.eye(2))
         g = build_graph(2, 2, [FactorBinding((0, 1), eq), FactorBinding((0, 1), neq)],
                         unary=[[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ZeroMessageError):
             run_lbp(g, LBPOptions(max_iters=50))
 
     def test_zero_message_names_first_edge_without_runtime_warnings(self):
-        eq = dense(np.eye(2))
-        neq = dense(1.0 - np.eye(2))
+        eq = DensePayload(np.eye(2))
+        neq = DensePayload(1.0 - np.eye(2))
         g = build_graph(2, 2, [FactorBinding((0, 1), eq), FactorBinding((0, 1), neq)],
                         unary=[[1.0, 0.0], [1.0, 0.0]])
         with warnings.catch_warnings():
@@ -331,8 +327,8 @@ class TestRunLBP:
                 run_lbp(g, LBPOptions(max_iters=50))
 
     def test_infinite_unary_raises_non_finite_without_runtime_warnings(self):
-        g = build_graph(3, 2, [FactorBinding((0, 1), dense(np.eye(2))),
-                               FactorBinding((1, 2), dense(1.0 - np.eye(2)))],
+        g = build_graph(3, 2, [FactorBinding((0, 1), DensePayload(np.eye(2))),
+                               FactorBinding((1, 2), DensePayload(1.0 - np.eye(2)))],
                         unary=[[1.0, 1.0], [np.inf, 1.0], [1.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -346,7 +342,7 @@ class TestRunLBP:
         w = cp_random(3, 2, 2, seed=70).weights.copy()
         w[1, 0, 1] = np.inf
         cp = CPFactor(3, 2, 2, w)
-        g = build_graph(4, 2, [FactorBinding((0, 1), dense([[1.0, 0.5], [0.5, 1.0]])),
+        g = build_graph(4, 2, [FactorBinding((0, 1), DensePayload([[1.0, 0.5], [0.5, 1.0]])),
                                FactorBinding((1, 2, 3), LowRankPayload("p"))], params={"p": cp})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -356,7 +352,7 @@ class TestRunLBP:
 
     def test_overflowing_row_sum_is_scaled_without_runtime_warnings(self):
         # every message of the uniform 1.5e308 table is finite, but its sum is not
-        g = build_graph(2, 2, [FactorBinding((0, 1), dense(np.full((2, 2), 1.5e308)))])
+        g = build_graph(2, 2, [FactorBinding((0, 1), DensePayload(np.full((2, 2), 1.5e308)))])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = run_lbp(g)
@@ -409,7 +405,7 @@ def random_loopy_graph(seed, d, specs, isolated):
             params[f"p{a}"] = cp_random(arity, d, rank, seed=int(rng.integers(1e6)))
             bindings.append(FactorBinding(scope, LowRankPayload(f"p{a}")))
         else:
-            bindings.append(FactorBinding(scope, dense(rng.uniform(0.1, 1.0, size=(d,) * arity))))
+            bindings.append(FactorBinding(scope, DensePayload(rng.uniform(0.1, 1.0, size=(d,) * arity))))
     unary = rng.uniform(0.1, 1.0, size=(5 + isolated, d))
     return build_graph(5 + isolated, d, bindings, unary=unary, params=params)
 
@@ -502,7 +498,7 @@ class TestEdgeLayout:
                 params[f"p{i}"] = cp_random(2, d, 3, seed=int(rng.integers(1e6)))
                 bindings.append(FactorBinding((0, i), LowRankPayload(f"p{i}")))
             else:
-                bindings.append(FactorBinding((i, 0), dense(rng.uniform(0.1, 1.0, size=(d, d)))))
+                bindings.append(FactorBinding((i, 0), DensePayload(rng.uniform(0.1, 1.0, size=(d, d)))))
         g = build_graph(leaves + 1, d, bindings, unary=rng.uniform(0.1, 1.0, size=(leaves + 1, d)),
                         params=params)
         hub = [edges for vs, edges in g.layout.buckets if vs.tolist() == [0]]
@@ -552,13 +548,13 @@ class TestDenseMessages:
         def nonnegative(shape):
             return rng.uniform(size=shape) * (rng.uniform(size=shape) >= zeros)
 
-        ts = [DenseTensor.from_array(nonnegative((d,) * arity)) for _ in range(num)]
+        ts = [nonnegative((d,) * arity) for _ in range(num)]
         m = nonnegative((arity, num, d))
         # chunks of 1 factor, of d factors at arity 1 and at every arity, and the default
         runs = []
         for chunk in (1, d, d**arity, engine._CHUNK):
             with mock.patch.object(engine, "_CHUNK", chunk):
-                runs.append(_dense_messages([t.data for t in ts], m))
+                runs.append(_dense_messages(ts, m))
         got = runs[-1]
         assert got.shape == (arity, num, d)
         assert all(r.tobytes() == got.tobytes() for r in runs)
@@ -585,7 +581,7 @@ class TestDenseMessages:
                                                    seed=int(rng.integers(1e6)))
                     bindings.append(FactorBinding(scope, LowRankPayload(f"p{n}{j}")))
                 else:
-                    bindings.append(FactorBinding(scope, dense(rng.uniform(0.1, 1.0, size=(d,) * n))))
+                    bindings.append(FactorBinding(scope, DensePayload(rng.uniform(0.1, 1.0, size=(d,) * n))))
         g = build_graph(num_vars, d, bindings, unary=rng.uniform(0.1, 1.0, size=(num_vars, d)),
                         params=params)
         lay = g.layout
@@ -623,10 +619,10 @@ class TestDenseMessages:
         blocked = rng.uniform(0.1, 1.0, size=(d, d))
         blocked[0] = 0.0
         bindings = [
-            FactorBinding((1, 2), dense(rng.uniform(0.1, 1.0, size=(d, d)))),
+            FactorBinding((1, 2), DensePayload(rng.uniform(0.1, 1.0, size=(d, d)))),
             FactorBinding((2, 3), LowRankPayload("p")),
-            FactorBinding((0, 3), dense(blocked)),
-            FactorBinding((0, 4), dense(blocked)),
+            FactorBinding((0, 3), DensePayload(blocked)),
+            FactorBinding((0, 4), DensePayload(blocked)),
         ]
         unary = np.ones((5, d))
         unary[0] = [1.0, 0.0, 0.0]
@@ -648,7 +644,7 @@ class TestDenseMessages:
         assert not hasattr(tensors, "marginalize_product")
         rng = np.random.default_rng(80)
         bindings = [FactorBinding(tuple(rng.choice(8, size=n, replace=False).tolist()),
-                                  dense(rng.uniform(0.1, 1.0, size=(3,) * n)))
+                                  DensePayload(rng.uniform(0.1, 1.0, size=(3,) * n)))
                     for n in range(1, 7)]
         g = build_graph(8, 3, bindings, unary=rng.uniform(0.1, 1.0, size=(8, 3)))
         opts = LBPOptions(max_iters=40, tol=1e-10, damping=damping)
@@ -666,7 +662,7 @@ class TestExactMarginals:
 
     def test_hard_constraint_propagates(self):
         g = build_graph(
-            2, 2, [FactorBinding((0, 1), dense(np.eye(2)))],
+            2, 2, [FactorBinding((0, 1), DensePayload(np.eye(2)))],
             unary=[[1.0, 0.0], [0.5, 0.5]],
         )
         result = exact_marginals(g)
@@ -675,9 +671,9 @@ class TestExactMarginals:
     def test_matches_permuted_enumeration_oracle(self):
         rng = np.random.default_rng(70)
         bindings = [
-            FactorBinding((0, 1, 2), dense(rng.uniform(0.1, 1.0, size=(2, 2, 2)))),
-            FactorBinding((2, 3), dense(rng.uniform(0.1, 1.0, size=(2, 2)))),
-            FactorBinding((4, 1), dense(rng.uniform(0.1, 1.0, size=(2, 2)))),
+            FactorBinding((0, 1, 2), DensePayload(rng.uniform(0.1, 1.0, size=(2, 2, 2)))),
+            FactorBinding((2, 3), DensePayload(rng.uniform(0.1, 1.0, size=(2, 2)))),
+            FactorBinding((4, 1), DensePayload(rng.uniform(0.1, 1.0, size=(2, 2)))),
         ]
         g = build_graph(5, 2, bindings, unary=rng.uniform(0.1, 1.0, size=(5, 2)))
         result = exact_marginals(g)

@@ -17,11 +17,7 @@ from lrbp.graph import (
     load_graph,
     save_graph,
 )
-from lrbp.tensors import CapacityError, CPFactor, DenseTensor, cp_expand, cp_random
-
-
-def dense(arr):
-    return DensePayload(DenseTensor.from_array(arr))
+from lrbp.tensors import CAPACITY, CapacityError, CPFactor, cp_expand, cp_random
 
 
 def enumerate_z(g):
@@ -35,9 +31,9 @@ def enumerate_z(g):
         for a, binding in enumerate(g.factors):
             payload = binding.payload
             if isinstance(payload, DensePayload):
-                table = payload.tensor.array
+                table = payload.table
             else:
-                table = cp_expand(g.params[payload.param_id]).array
+                table = cp_expand(g.params[payload.param_id])
             term *= table[tuple(state[v] for v in binding.scope)]
         z += term
     return z
@@ -77,7 +73,7 @@ def mixed_graph(seed, with_unary, with_slots):
         n = int(rng.integers(1, min(3, num_vars) + 1))
         scope = tuple(rng.choice(num_vars, size=n, replace=False).tolist())
         if rng.uniform() < 0.5:
-            payload = DensePayload(DenseTensor.from_array(wide_values(rng, (d,) * n)))
+            payload = DensePayload(wide_values(rng, (d,) * n))
         else:
             shared = [pid for pid, cp in params.items() if cp.arity == n]
             if shared and rng.uniform() < 0.5:
@@ -101,29 +97,30 @@ class TestBuildGraph:
         assert bucket_factors(g) == [()]
 
     def test_chain_adjacency(self):
-        coupling = dense(np.ones((2, 2)))
+        coupling = DensePayload(np.ones((2, 2)))
         g = build_graph(3, 2, [FactorBinding((0, 1), coupling), FactorBinding((1, 2), coupling)])
         assert bucket_factors(g) == [(0,), (0, 1), (1,)]
         assert [vs.tolist() for vs, _ in g.layout.buckets] == [[0, 2], [1]]
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(GraphError, match="factor 0.*duplicate"):
-            build_graph(2, 2, [FactorBinding((0, 0), dense(np.ones((2, 2))))])
+            build_graph(2, 2, [FactorBinding((0, 0), DensePayload(np.ones((2, 2))))])
 
     def test_out_of_range_variable_rejected(self):
         with pytest.raises(GraphError, match="factor 0.*out of range"):
-            build_graph(2, 2, [FactorBinding((0, 5), dense(np.ones((2, 2))))])
+            build_graph(2, 2, [FactorBinding((0, 5), DensePayload(np.ones((2, 2))))])
 
     def test_payload_shape_mismatch_rejected(self):
-        with pytest.raises(GraphError, match="factor 1"):
-            build_graph(
-                3,
-                2,
-                [
-                    FactorBinding((0, 1), dense(np.ones((2, 2)))),
-                    FactorBinding((1, 2), dense(np.ones((2, 3)))),
-                ],
-            )
+        for table in (np.ones((2, 3)), np.ones(()), np.ones((2, 0))):
+            with pytest.raises(GraphError, match="factor 1"):
+                build_graph(
+                    3,
+                    2,
+                    [
+                        FactorBinding((0, 1), DensePayload(np.ones((2, 2)))),
+                        FactorBinding((1, 2), DensePayload(table)),
+                    ],
+                )
 
     def test_lowrank_requires_known_param(self):
         with pytest.raises(GraphError, match="param_id"):
@@ -141,18 +138,19 @@ class TestBuildGraph:
         bindings = []
         for _ in range(6):
             scope = tuple(rng.choice(5, size=rng.integers(1, 4), replace=False))
-            bindings.append(FactorBinding(scope, dense(rng.uniform(size=(3,) * len(scope)))))
+            bindings.append(FactorBinding(scope, DensePayload(rng.uniform(size=(3,) * len(scope)))))
         g = build_graph(5, 3, bindings)
         assert bucket_factors(g) == scope_factors(g)
 
     def test_graph_owns_its_inputs(self):
         # build copies the unary, the params table and (through CPFactor) the
-        # weights, and exposes them read-only, so no write reaches a solve
+        # weights, and exposes them read-only, so no write reaches a solve; a
+        # dense table is a read-only view, which the graph cannot write through
         rng = np.random.default_rng(6)
         unary, weights = rng.uniform(0.1, 1.0, size=(4, 3)), rng.uniform(0.1, 1.0, size=(3, 3, 2))
         params = {"p": CPFactor(3, 3, 2, weights)}
         g = build_graph(4, 3, [FactorBinding((0, 1, 2), LowRankPayload("p")),
-                               FactorBinding((2, 3), dense(rng.uniform(size=(3, 3))))],
+                               FactorBinding((2, 3), DensePayload(rng.uniform(size=(3, 3))))],
                         unary=unary, params=params)
         before = run_lbp(g).beliefs
         unary[:, 0] = 100.0
@@ -165,11 +163,13 @@ class TestBuildGraph:
             g.unary[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             g.params["p"].weights[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.factors[1].payload.table[0, 0] = 1.0
 
     def test_equality_is_identity(self):
         # field-wise equality would compare the unary arrays and hash the params dict
         def make():
-            return build_graph(2, 2, [FactorBinding((0, 1), dense(np.ones((2, 2))))],
+            return build_graph(2, 2, [FactorBinding((0, 1), DensePayload(np.ones((2, 2))))],
                                unary=np.ones((2, 2)), params={"p": cp_random(2, 2, 1, seed=0)})
 
         g, h = make(), make()
@@ -182,16 +182,17 @@ class TestBuildGraph:
         from lrbp.neural import HiddenStates, init_layer_params
 
         for make in (lambda: cp_random(2, 2, 2, seed=0),
-                     lambda: DenseTensor.from_array(np.ones((2, 2))),
+                     lambda: DensePayload(np.ones((2, 2))),
                      lambda: HiddenStates(np.ones((2, 3))),
                      lambda: init_layer_params(["a"], d_h=3, rank=2)):
             x = make()
             assert x == x and x != make() and hash(x) == hash(x)
-        t = DenseTensor.from_array(np.ones((2, 2)))
-        binding = FactorBinding((0, 1), DensePayload(t))
-        assert binding == FactorBinding((0, 1), DensePayload(t))
-        assert binding != FactorBinding((0, 1), dense(t.array))
-        assert len({binding, FactorBinding((0, 1), DensePayload(t))}) == 1
+        table = np.ones((2, 2))
+        payload = DensePayload(table)
+        binding = FactorBinding((0, 1), payload)
+        assert binding == FactorBinding((0, 1), payload)
+        assert binding != FactorBinding((0, 1), DensePayload(table))
+        assert len({binding, FactorBinding((0, 1), payload)}) == 1
         # a low-rank payload keeps value equality
         assert LowRankPayload("p") == LowRankPayload("p")
 
@@ -201,20 +202,20 @@ class TestJointTable:
         g = build_graph(1, 2, [], unary=[[2.0, 6.0]])
         joint, z = joint_table(g)
         assert z == 8.0
-        assert np.array_equal(joint.array, [2.0, 6.0])
+        assert np.array_equal(joint, [2.0, 6.0])
 
     def test_two_independent_unaries(self):
         g = build_graph(2, 2, [], unary=[[1.0, 1.0], [1.0, 1.0]])
         joint, z = joint_table(g)
         assert z == 4.0
-        assert np.array_equal(joint.array, np.ones((2, 2)))
+        assert np.array_equal(joint, np.ones((2, 2)))
 
     def test_lowrank_factor_matches_enumeration(self):
         cp = cp_random(3, 2, 4, seed=8)
         rng = np.random.default_rng(8)
         bindings = [
             FactorBinding((0, 2, 3), LowRankPayload("p")),
-            FactorBinding((1, 2), dense(rng.uniform(size=(2, 2)))),
+            FactorBinding((1, 2), DensePayload(rng.uniform(size=(2, 2)))),
         ]
         g = build_graph(4, 2, bindings, unary=rng.uniform(size=(4, 2)), params={"p": cp})
         _, z = joint_table(g)
@@ -223,18 +224,18 @@ class TestJointTable:
     def test_scope_order_respected(self):
         # non-sorted scope must land each axis on the right variable
         table = np.array([[0.0, 1.0], [2.0, 3.0]])  # f(x1, x0)
-        g = build_graph(2, 2, [FactorBinding((1, 0), dense(table))])
+        g = build_graph(2, 2, [FactorBinding((1, 0), DensePayload(table))])
         joint, _ = joint_table(g)
         for x0 in range(2):
             for x1 in range(2):
-                assert joint.array[x0, x1] == table[x1, x0]
+                assert joint[x0, x1] == table[x1, x0]
 
     def test_z_invariant_to_factor_permutation(self):
         rng = np.random.default_rng(13)
         bindings = [
-            FactorBinding((0, 1), dense(rng.uniform(size=(2, 2)))),
-            FactorBinding((1, 2), dense(rng.uniform(size=(2, 2)))),
-            FactorBinding((0, 2), dense(rng.uniform(size=(2, 2)))),
+            FactorBinding((0, 1), DensePayload(rng.uniform(size=(2, 2)))),
+            FactorBinding((1, 2), DensePayload(rng.uniform(size=(2, 2)))),
+            FactorBinding((0, 2), DensePayload(rng.uniform(size=(2, 2)))),
         ]
         g = build_graph(3, 2, bindings)
         g_perm = build_graph(3, 2, [bindings[2], bindings[0], bindings[1]])
@@ -243,9 +244,11 @@ class TestJointTable:
         assert abs(z1 - z2) <= 1e-12 * abs(z1)
 
     def test_capacity_error(self):
-        g = build_graph(2, 4, [], unary=np.ones((2, 4)))
-        with pytest.raises(CapacityError):
-            joint_table(g, cap=15)
+        # 2**24 elements is past CAPACITY; the check raises before any allocation
+        assert 2**23 < CAPACITY < 2**24
+        g = build_graph(24, 2, [], unary=np.ones((24, 2)))
+        with pytest.raises(CapacityError, match=f"{2**24} elements"):
+            joint_table(g)
 
     def test_zero_mass_rejected(self):
         g = build_graph(1, 2, [], unary=[[0.0, 0.0]])
@@ -258,7 +261,7 @@ class TestGraphFile:
         rng = np.random.default_rng(17)
         cp = cp_random(3, 3, 5, seed=17)
         bindings = [
-            FactorBinding((0, 1), dense(rng.uniform(size=(3, 3)))),
+            FactorBinding((0, 1), DensePayload(rng.uniform(size=(3, 3)))),
             FactorBinding((1, 2, 3), LowRankPayload("shared"), slot_ids=("s0", "s1", "s2")),
             FactorBinding((0, 2, 3), LowRankPayload("shared")),
         ]
@@ -280,8 +283,7 @@ class TestGraphFile:
         for fa, fb in zip(g.factors, h.factors):
             assert (fa.scope, fa.slot_ids, type(fa.payload)) == (fb.scope, fb.slot_ids, type(fb.payload))
             if isinstance(fa.payload, DensePayload):
-                assert fa.payload.tensor.shape == fb.payload.tensor.shape
-                assert same_bits(fa.payload.tensor.data, fb.payload.tensor.data)
+                assert same_bits(fa.payload.table, fb.payload.table)
             else:
                 assert fa.payload == fb.payload
         assert list(h.params) == list(g.params)
@@ -333,6 +335,23 @@ class TestGraphFile:
         # ragged, and of rank 2 where the spec says 1
         ("params/p/weights", [[[1.0], [1.0]], [[1.0]]], r"param 'p'.*expected shape \(2, 2, 1\)"),
         ("params/p/weights", [[[1.0, 1.0]] * 2] * 2, r"param 'p'.*expected shape \(2, 2, 1\)"),
+        # a dense shape whose axes are not all >= 1, and data of the wrong length
+        ("factors/1/payload/shape", [0], "factor 1: dense shape .* axis below 1"),
+        ("factors/1/payload/shape", [-1, 2], "factor 1: dense shape .* axis below 1"),
+        ("factors/1/payload/shape", [], "factor 1.*reshape"),
+        ("factors/1/payload/data", [1.0, 2.0, 3.0], "factor 1.*reshape"),
+        # integers are not truncated from floats or bools
+        ("num_vars", 2.9, "num_vars must be an integer"),
+        ("cardinality", True, "cardinality must be an integer"),
+        ("factors/0/scope", [0.4, 1.6], "factor 0: scope entry must be an integer"),
+        ("factors/0/scope", [0, True], "factor 0: scope entry must be an integer"),
+        ("params/p/d", 2.5, "param 'p': d must be an integer"),
+        ("params/p/rank", True, "param 'p': rank must be an integer"),
+        ("factors/1/payload/shape", [2.7], "factor 1: shape entry must be an integer"),
+        # slot ids are a list of strings
+        ("factors/0/slots", [1, 2], "factor 0: slot ids must be strings"),
+        ("factors/0/slots", ["a", None], "factor 0: slot ids must be strings"),
+        ("factors/0/slots", "ab", "factor 0: slots must be null or a list"),
     ])
     def test_malformed_value_reported_as_graph_error(self, tmp_path, path, value, match):
         doc = {

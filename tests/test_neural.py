@@ -87,7 +87,6 @@ class TestForward:
         h = HiddenStates(np.random.default_rng(2).standard_normal((3, 4)))
         out, _ = lrbp_forward(h, g, p)
         assert np.array_equal(out.values, h.values)
-        assert out.t == h.t + 1
 
     def test_two_node_hand_expansion(self):
         # single rank-1 factor, both slot matrices the first basis column:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrbp.tensors import (
+    CAPACITY,
     CapacityError,
     CPFactor,
-    DenseTensor,
     cp_expand,
     cp_random,
     leave_one_out,
@@ -46,26 +46,6 @@ def marginalize_oracle(arr, incoming, keep):
     return out
 
 
-class TestDenseTensor:
-    def test_round_trip_array(self):
-        a = np.arange(12.0).reshape(3, 4)
-        t = DenseTensor.from_array(a)
-        assert t.shape == (3, 4)
-        assert np.array_equal(t.array, a)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            DenseTensor((2, 2), np.zeros(3))
-
-    def test_rejects_empty_shape(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            DenseTensor((), np.zeros(1))
-
-    def test_rejects_zero_axis(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            DenseTensor((2, 0), np.zeros(0))
-
-
 class TestCPFactorValidation:
     def test_wrong_matrix_count(self):
         w = np.ones((2, 1))
@@ -86,25 +66,24 @@ class TestCPExpand:
         # single outer product of basis vectors
         w = np.array([[1.0], [0.0]])
         f = CPFactor(2, 2, 1, (w, w))
-        assert np.array_equal(cp_expand(f).array, [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(cp_expand(f), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_outer_product_of_ones(self):
         w = np.ones((2, 1))
         f = CPFactor(3, 2, 1, (w, w, w))
-        assert np.array_equal(cp_expand(f).array, np.ones((2, 2, 2)))
+        assert np.array_equal(cp_expand(f), np.ones((2, 2, 2)))
 
     def test_matches_loop_oracle_seeded(self):
         f = cp_random(3, 3, 4, seed=11)
         expected = expand_oracle(f.weights)
-        np.testing.assert_allclose(cp_expand(f).array, expected, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(cp_expand(f), expected, atol=1e-12, rtol=0)
 
     def test_capacity_error(self):
-        f = cp_random(30, 2, 1, seed=0)
-        with pytest.raises(CapacityError):
-            cp_expand(f)
-        # explicit cap overrides the default
-        with pytest.raises(CapacityError):
-            cp_expand(cp_random(3, 2, 1, seed=0), cap=7)
+        # 2**24 elements is past CAPACITY; the check raises before any allocation
+        assert 2**23 < CAPACITY < 2**24
+        for arity in (24, 30):
+            with pytest.raises(CapacityError, match=f"{2**arity} elements"):
+                cp_expand(cp_random(arity, 2, 1, seed=0))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -116,7 +95,7 @@ class TestCPExpand:
     def test_matches_loop_oracle_property(self, arity, d, rank, seed):
         f = cp_random(arity, d, rank, seed=seed)
         np.testing.assert_allclose(
-            cp_expand(f).array, expand_oracle(f.weights), atol=1e-12, rtol=0
+            cp_expand(f), expand_oracle(f.weights), atol=1e-12, rtol=0
         )
 
 
@@ -128,7 +107,7 @@ class TestCPRandom:
 
     def test_expansion_nonnegative(self):
         f = cp_random(3, 4, 8, seed=1)
-        assert np.all(cp_expand(f).data >= 0)
+        assert np.all(cp_expand(f) >= 0)
 
     @pytest.mark.parametrize("arity, d, rank, seed, scale", [
         (1, 2, 1, 0, 1.0), (3, 4, 8, 5, 1.0), (6, 3, 2, 123, 0.5), (2, 5, 16, 2**40, 3.0),
@@ -149,14 +128,12 @@ class TestCPRandom:
 
 class TestMarginalizeProduct:
     def test_identity_row_sums(self):
-        t = DenseTensor.from_array(np.eye(2))
-        out = marginalize_product(t, [None, np.array([1.0, 1.0])], keep=0)
+        out = marginalize_product(np.eye(2), [None, np.array([1.0, 1.0])], keep=0)
         assert np.array_equal(out, [1.0, 1.0])
 
     def test_all_ones_uniform_messages(self):
-        t = DenseTensor.from_array(np.ones((2, 2, 2)))
         half = np.array([0.5, 0.5])
-        out = marginalize_product(t, [None, half, half], keep=0)
+        out = marginalize_product(np.ones((2, 2, 2)), [None, half, half], keep=0)
         np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-15)
 
     def test_matches_loop_oracle_seeded(self):
@@ -164,20 +141,20 @@ class TestMarginalizeProduct:
         arr = rng.uniform(size=(3, 3, 3))
         msgs = [rng.uniform(0.1, 1.0, size=3) for _ in range(3)]
         for keep in range(3):
-            got = marginalize_product(DenseTensor.from_array(arr), msgs, keep)
+            got = marginalize_product(arr, msgs, keep)
             np.testing.assert_allclose(
                 got, marginalize_oracle(arr, msgs, keep), atol=1e-12, rtol=0
             )
 
     def test_shape_error(self):
-        t = DenseTensor.from_array(np.ones((2, 3)))
+        t = np.ones((2, 3))
         with pytest.raises(ValueError, match="axis 1"):
             marginalize_product(t, [None, np.ones(2)], keep=0)
         with pytest.raises(ValueError, match="message slots"):
             marginalize_product(t, [np.ones(3)], keep=0)
 
     def test_arity_one_returns_table(self):
-        t = DenseTensor.from_array(np.array([2.0, 6.0]))
+        t = np.array([2.0, 6.0])
         assert np.array_equal(marginalize_product(t, [None], keep=0), [2.0, 6.0])
 
     @settings(max_examples=25, deadline=None)
@@ -190,10 +167,9 @@ class TestMarginalizeProduct:
         # with all-ones messages every keep axis reproduces the total mass
         rng = np.random.default_rng(seed)
         arr = rng.uniform(size=(d,) * order)
-        t = DenseTensor.from_array(arr)
         ones = [np.ones(d)] * order
         for keep in range(order):
-            out = marginalize_product(t, ones, keep)
+            out = marginalize_product(arr, ones, keep)
             assert abs(out.sum() - arr.sum()) < 1e-10
 
 
