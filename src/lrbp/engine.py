@@ -7,20 +7,26 @@ then all factor-to-variable messages from the fresh variable-to-factor
 buffer. Every message is L1-normalized as it is produced.
 
 `run_lbp` keeps each message family in one (E, d) array over `g.layout`, in
-the edge order that `lrbp.graph` defines. The layout's edge blocks are
-slot-major, so every gather puts the slot axis first. The factor groups are
-the layout's blocks, built once per graph; a solve only stacks each low-rank
-block's CP weights. A low-rank block holds the factors of one (arity n,
-rank R): it projects its (n, F, d) rows through its (n, F, d, R) weights,
-takes the leave-one-out Hadamard product over the slot axis and maps back,
-O(n * d * R) per factor. The dense block of one arity goes in one call: a
-prefix contraction of each table against suffix outer products of the rows
-sends all n messages of a factor in O(d**n). The two steps that read a table
-run per factor, in place; the rest are batched matmuls over chunks of
-factors. Variables are bucketed by degree D: a bucket takes the leave-one-out
-product of its (D, V, d) rows times the unary, O(D * d) each. Both
-leave-one-out products are `tensors.leave_one_out`, which scans the slot axis
-slab by slab, or by cumprod when it is longer than a slab.
+the order its half-sweep writes it: variable-to-factor messages in bucket
+order and factor-to-variable messages in block order (see
+`lrbp.graph.EdgeLayout`). A half-sweep gathers the other family into its own
+order once and hands every block or bucket its slice of rows as a slot-major
+view, writing its results into the matching slice, so the leave-one-out
+products run along axis 0. Errors and warnings still name edges in the edge
+order of `lrbp.graph`. The factor groups are the layout's blocks, and a
+low-rank block's (n, F, d, R) CP weights are `g.cp_blocks`, read from the
+stacks the graph builds; both are built once per graph, so a solve stacks
+nothing. A low-rank block holds the factors of one (arity n, rank R): it
+projects its (n, F, d) rows through its weights, takes the leave-one-out
+Hadamard product over the slot axis and maps back, O(n * d * R) per factor.
+The dense block of one arity goes in one call: a prefix contraction of each
+table against suffix outer products of the rows sends all n messages of a
+factor in O(d**n). The two steps that read a table run per factor, in place;
+the rest are batched matmuls over chunks of factors. Variables are bucketed
+by degree D: a bucket takes the leave-one-out product of its (D, V, d) rows
+times the unary, O(D * d) each. Both leave-one-out products are
+`tensors.leave_one_out`, which scans the slot axis slab by slab, or by
+cumprod when it is longer than a slab.
 
 This edge-array layout is the only one in the package. The one-message dict
 reference and the full-table marginalizer that the tests check `run_lbp`
@@ -34,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import FactorGraph, factor_cp, joint_table
+# No solve calls factor_cp; the alias stays because benchmarks/test_bench.py
+# checks that the benchmark's tracer wraps it here.
+from .graph import FactorGraph, factor_cp, joint_table  # noqa: F401
 from .tensors import leave_one_out
 
 NEGATIVE_TOL = -1e-12
@@ -66,19 +74,33 @@ class LBPOptions:
     damping: float = 0.0
 
 
-def _normalize(raw: np.ndarray, what: str, *keys) -> np.ndarray:
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """x summed along its last axis, kept as an axis of length 1, by adding
+    its columns in turn. Below 8 columns that is np.sum's order, so the sums
+    are bitwise np.sum's but for the sign of an all-zero sum; from 8 on,
+    np.sum adds pairwise and the two differ by rounding."""
+    total = x[..., :1].copy()
+    for k in range(1, x.shape[-1]):
+        total += x[..., k:k + 1]
+    return total
+
+
+def _normalize(raw: np.ndarray, what: str, *keys, edges: np.ndarray | None = None) -> np.ndarray:
     """`raw` over its sums along the last axis. A row whose sum is +inf is
     first divided by its maximum, so that finite entries whose sum overflows
-    still normalize; a row with an infinite entry stays non-finite. The first
-    zero sum raises, naming its row by `what.format(*(k[row] for k in keys))`."""
-    total = raw.sum(axis=-1, keepdims=True)
+    still normalize; a row with an infinite entry stays non-finite. A zero
+    sum raises, naming the row of the first edge among the zero rows by
+    `what.format(*(k[edge] for k in keys))`; `edges` holds the edge of each
+    row, by default its index."""
+    total = _row_sums(raw)
     over = total == math.inf
     if over.any():
         raw = raw / np.where(over, raw.max(axis=-1, keepdims=True), 1.0)
-        total = raw.sum(axis=-1, keepdims=True)
+        total = _row_sums(raw)
     zero = np.flatnonzero(total == 0.0)
     if zero.size:
-        what = what.format(*(int(k[zero[0]]) for k in keys))
+        edge = zero[0] if edges is None else edges[zero].min()
+        what = what.format(*(int(k[edge]) for k in keys))
         raise ZeroMessageError(f"{what} normalized to zero mass")
     return raw / total
 
@@ -127,6 +149,17 @@ def _dense_messages(tables: list[np.ndarray], m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _views(groups: tuple, *arrays: np.ndarray) -> list[list[np.ndarray]]:
+    """Per group, each (E, d) array's rows of the group's edge block, in a
+    message order that ravels the blocks in turn, as a slot-major view of
+    the block's shape plus (d,)."""
+    views, lo = [], 0
+    for _, e in groups:
+        views.append([x[lo:lo + e.size].reshape(*e.shape, x.shape[1]) for x in arrays])
+        lo += e.size
+    return views
+
+
 def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     """Run synchronous-flooding sum-product LBP until the max-norm message
     change drops below opts.tol or opts.max_iters is reached.
@@ -140,8 +173,12 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     order; a non-finite one raises FloatingPointError. Low-rank messages with
     negative entries (mixed-sign weights) give one SignViolationWarning per
     run, with their count, the most negative entry and the first of them.
+    A negative max_iters, a tol that is not positive or a damping outside
+    [0, 1) raises ValueError.
     """
     opts = opts or LBPOptions()
+    if not opts.max_iters >= 0:
+        raise ValueError(f"max_iters must be >= 0, got {opts.max_iters}")
     if not opts.tol > 0:
         raise ValueError(f"tol must be positive, got {opts.tol}")
     if not 0.0 <= opts.damping < 1.0:
@@ -149,37 +186,44 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
 
     lay, d = g.layout, g.cardinality
     var, fac = lay.var, lay.fac
-    # the parts of a solve that read the payloads; dense tables are read in
-    # place, since a stack would copy every table on each solve
-    groups = [(edges, np.stack([factor_cp(g, a).weights for a in ids.tolist()], axis=1))
-              for ids, edges in lay.lowrank]
-    dense = [(edges, [g.factors[a].payload.table for a in ids.tolist()])
-             for ids, edges in lay.dense]
     unary = g.unary if g.unary is not None else np.ones((g.num_vars, d))
-    buckets = [(vs, edges, unary[vs]) for vs, edges in lay.buckets]
+    # the gathers each half-sweep reads and the raw messages it writes, both
+    # in its own message order; every bucket and block views its slice of both
+    into_buckets, raw_v2f = np.empty((var.size, d)), np.empty((var.size, d))
+    into_blocks, raw_f2v = np.empty((var.size, d)), np.empty((var.size, d))
+    buckets = [(vs, unary[vs], *views) for (vs, _), views
+               in zip(lay.buckets, _views(lay.buckets, into_buckets, raw_v2f))]
+    blocks = _views(lay.lowrank + lay.dense, into_blocks, raw_f2v)
+    lowrank = [(w, *views) for w, views in zip(g.cp_blocks, blocks)]
+    # dense tables are read in place, since a stack would copy every table
+    dense = [([g.factors[a].payload.table for a in ids.tolist()], *views)
+             for (ids, _), views in zip(lay.dense, blocks[len(lowrank):])]
+    num_lowrank = sum(e.size for _, e in lay.lowrank)  # the low-rank rows come first
     v2f = f2v = np.full((var.size, d), 1.0 / d)  # never written in place
     trace: list[tuple[int, float]] = []
     delta = math.inf
     iteration = 0
     negative = []  # per iteration with any: (first edge, count, most negative entry)
 
+    # np.take(mode="clip") writes straight into its `out`; the indices are in range
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, opts.max_iters + 1):
-            raw = np.empty_like(f2v)
-            for _, edges, u in buckets:
-                raw[edges] = leave_one_out(f2v[edges]) * u
-            new_v2f = _normalize(raw, "message {}->{}", var, fac)
+            np.take(f2v, lay.to_buckets, axis=0, out=into_buckets, mode="clip")
+            for _, u, incoming, out in buckets:
+                np.multiply(leave_one_out(incoming), u, out=out)
+            new_v2f = _normalize(raw_v2f, "message {}->{}", var, fac, edges=lay.bucket_edges)
             if opts.damping:
                 new_v2f = (1.0 - opts.damping) * new_v2f + opts.damping * v2f
-            raw = np.zeros_like(new_v2f)
-            for edges, w in groups:
-                raw[edges] = _lowrank_messages(w, new_v2f[edges])
-            if raw.min(initial=0.0) < NEGATIVE_TOL:  # dense rows are still 0
-                bad = np.flatnonzero((raw < NEGATIVE_TOL).any(axis=1))
-                negative.append((bad[0], bad.size, raw[bad].min()))
-            for edges, tables in dense:
-                raw[edges] = _dense_messages(tables, new_v2f[edges])
-            new_f2v = _normalize(raw, "message {}->{}", fac, var)
+            np.take(new_v2f, lay.to_blocks, axis=0, out=into_blocks, mode="clip")
+            for w, incoming, out in lowrank:
+                out[...] = _lowrank_messages(w, incoming)
+            low = raw_f2v[:num_lowrank]
+            if low.min(initial=0.0) < NEGATIVE_TOL:
+                bad = np.flatnonzero((low < NEGATIVE_TOL).any(axis=1))
+                negative.append((lay.block_edges[bad].min(), bad.size, low[bad].min()))
+            for tables, incoming, out in dense:
+                out[...] = _dense_messages(tables, incoming)
+            new_f2v = _normalize(raw_f2v, "message {}->{}", fac, var, edges=lay.block_edges)
             if opts.damping:
                 new_f2v = (1.0 - opts.damping) * new_f2v + opts.damping * f2v
             # np.maximum, not max(), so that a NaN in either family reaches delta;
@@ -187,10 +231,11 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
             delta = float(np.maximum(np.abs(new_v2f - v2f).max(initial=0.0),
                                      np.abs(new_f2v - f2v).max(initial=0.0)))
             if not math.isfinite(delta):
-                for msgs, keys in ((new_v2f, (var, fac)), (new_f2v, (fac, var))):
+                for msgs, edges, keys in ((new_v2f, lay.bucket_edges, (var, fac)),
+                                          (new_f2v, lay.block_edges, (fac, var))):
                     bad = np.flatnonzero(~np.isfinite(msgs).all(axis=1))
                     if bad.size:
-                        key = tuple(int(k[bad[0]]) for k in keys)
+                        key = tuple(int(k[edges[bad].min()]) for k in keys)
                         raise FloatingPointError(
                             f"non-finite message {key} at iteration {iteration}")
             v2f, f2v = new_v2f, new_f2v
@@ -198,8 +243,9 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
             if delta < opts.tol:
                 break
         beliefs = unary.copy()
-        for vs, edges, _ in buckets:
-            beliefs[vs] *= f2v[edges].prod(axis=0)
+        np.take(f2v, lay.to_buckets, axis=0, out=into_buckets, mode="clip")
+        for vs, _, incoming, _ in buckets:
+            beliefs[vs] *= incoming.prod(axis=0)
         beliefs = _normalize(beliefs, "belief of variable {}", range(g.num_vars))
 
     if negative:

@@ -11,15 +11,19 @@ memory, so such an array must not be written after construction; any other
 input is copied.
 
 Edge order: factor a's edges follow all edges of factors 0..a-1, one per slot
-in scope order; its k-th edge joins it to variable scope[k]. LBP and the
-neural layer keep one message per edge in this order.
+in scope order; its k-th edge joins it to variable scope[k]. The neural layer
+keeps one message per edge in this order; LBP keeps its two message families
+in the two orders of `EdgeLayout`, each the order in which its half-sweep
+writes them, and names edges by this one.
 `FactorGraph.layout` holds the edge arrays, the factor blocks that LBP and
-the neural layer batch their kernels over, and the degree buckets, the
-graph's only variable-to-factor adjacency; `FactorGraph.slots` holds the
-neural layer's slot index, its slots grouped by edge count. Each is built on
-first use, once per graph, deterministically from the frozen factors and the
-read-only params, so concurrent first reads are safe: at worst two threads
-build equal copies.
+the neural layer batch their kernels over, the degree buckets, the graph's
+only variable-to-factor adjacency, and LBP's two message orders;
+`FactorGraph.slots` holds the neural layer's slot index, its slots grouped by
+edge count; `FactorGraph.cp_blocks` holds the CP weights of LBP's low-rank
+blocks. Each is built on first use, once per graph, deterministically from
+the frozen factors and the read-only params, so concurrent first reads are
+safe: at worst two threads build equal copies. The CP stacks that
+`cp_blocks` reads are built with the graph.
 """
 from __future__ import annotations
 
@@ -91,32 +95,63 @@ class FactorBinding:
 
 @dataclass(frozen=True, eq=False)  # identity equality, as EdgeLayout: fields hold arrays
 class FactorGraph:
+    """A frozen factor graph; `build_graph` makes one.
+
+    Besides the params, the graph holds their CP weights stacked by shape:
+    `cp_stacks[(n, d, R)]` is the read-only, slot-major (n, P, d, R) array of
+    the P params of that weight shape, used or not, and `cp_rows[pid]` is
+    param pid's row in its shape's stack, in the order of `params`."""
+
     num_vars: int
     cardinality: int
     factors: tuple[FactorBinding, ...]
     params: Mapping[str, CPFactor]  # read-only
     unary: np.ndarray | None  # read-only (num_vars, d), or None (treated as all-ones)
+    cp_stacks: Mapping[tuple[int, int, int], np.ndarray]  # read-only
+    cp_rows: Mapping[str, int]  # read-only
 
     @cached_property
     def layout(self) -> EdgeLayout:
         """The edge arrays of this graph, built on first use."""
         arity = np.array([len(b.scope) for b in self.factors], dtype=np.intp)
         var = np.array([v for b in self.factors for v in b.scope], dtype=np.intp)
-        # CP rank of each factor, 0 for a dense one: a block per (arity, rank)
-        rank = np.array([self.params[b.payload.param_id].rank
-                         if isinstance(b.payload, LowRankPayload) else 0
-                         for b in self.factors], dtype=np.intp)
+        # CP rank and param row of each factor, 0 for a dense one: a block per
+        # (arity, rank)
+        pids = [b.payload.param_id if isinstance(b.payload, LowRankPayload) else None
+                for b in self.factors]
+        rank = np.array([0 if p is None else self.params[p].rank for p in pids], dtype=np.intp)
+        row = np.array([0 if p is None else self.cp_rows[p] for p in pids], dtype=np.intp)
         blocks = _groups_by_size(arity, np.arange(var.size),
                                  key=arity * (rank.max(initial=0) + 1) + rank)
+        lowrank = tuple((ids, e) for ids, e in blocks if rank[ids[0]])
+        dense = tuple((ids, e) for ids, e in blocks if not rank[ids[0]])
+        # a stable sort keeps each variable's edges in factor order
+        buckets = _groups_by_size(np.bincount(var, minlength=self.num_vars),
+                                  np.argsort(var, kind="stable"))
+        bucket_edges, block_edges = _raveled(buckets), _raveled(lowrank + dense)
         return EdgeLayout(
             var=_read_only(var),
             fac=_read_only(np.repeat(np.arange(arity.size), arity)),
-            lowrank=tuple((ids, e) for ids, e in blocks if rank[ids[0]]),
-            dense=tuple((ids, e) for ids, e in blocks if not rank[ids[0]]),
-            # a stable sort keeps each variable's edges in factor order
-            buckets=_groups_by_size(np.bincount(var, minlength=self.num_vars),
-                                    np.argsort(var, kind="stable")),
+            lowrank=lowrank,
+            dense=dense,
+            buckets=buckets,
+            lowrank_rows=tuple(((e.shape[0], self.cardinality, int(rank[ids[0]])),
+                                _consecutive(row[ids])) for ids, e in lowrank),
+            bucket_edges=bucket_edges,
+            block_edges=block_edges,
+            to_buckets=_read_only(_positions(block_edges)[bucket_edges]),
+            to_blocks=_read_only(_positions(bucket_edges)[block_edges]),
         )
+
+    @cached_property
+    def cp_blocks(self) -> tuple[np.ndarray, ...]:
+        """The read-only, slot-major (n, F, d, R) CP weights of each of the
+        layout's `lowrank` blocks, built on first use: column f holds the
+        weights of the block's f-th factor. A view of the stack of its shape
+        when the block's param rows are consecutive, else one gather from it.
+        Only LBP reads these, so the neural layer never builds them."""
+        return tuple(_read_only(self.cp_stacks[shape][:, rows])
+                     for shape, rows in self.layout.lowrank_rows)
 
     @cached_property
     def slots(self) -> SlotIndex:
@@ -146,13 +181,27 @@ class EdgeLayout:
     arity, each in order of arity, then rank. Their edge blocks and those of
     `buckets` are slot-major and C-contiguous: row k holds slot k of every
     factor (k-th edge of every variable), so a gather `x[edges]` yields one
-    contiguous slab per slot and leave-one-out products run along axis 0."""
+    contiguous slab per slot and leave-one-out products run along axis 0.
+
+    LBP keeps variable-to-factor messages in bucket order, the buckets' edge
+    blocks raveled in turn, and factor-to-variable messages in block order,
+    the `lowrank` then the `dense` edge blocks raveled in turn. So each block
+    or bucket owns one slice of rows, which reads as its slot-major gather,
+    and a half-sweep reads the other family through one gather, `to_buckets`
+    or `to_blocks`."""
 
     var: np.ndarray  # (E,) variable of each edge
     fac: np.ndarray  # (E,) factor of each edge
     lowrank: tuple  # ((F,) factors, (n, F) edges) per CP (arity n, rank R), columns in factor order
     dense: tuple  # ((F,) factors, (n, F) edges) per dense arity n, columns in factor order
     buckets: tuple  # ((V,) variables, (D, V) edges) per degree D, each column in factor order
+    # ((n, d, R) key of the graph's CP stack, the (F,) param rows of its
+    # factors in it, or a slice when they are consecutive) per `lowrank` block
+    lowrank_rows: tuple
+    bucket_edges: np.ndarray  # (E,) edge of each row in bucket order
+    block_edges: np.ndarray  # (E,) edge of each row in block order
+    to_buckets: np.ndarray  # (E,) block-order row of each bucket-order row
+    to_blocks: np.ndarray  # (E,) bucket-order row of each block-order row
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +228,25 @@ def _groups_by_size(sizes: np.ndarray, edges: np.ndarray, key: np.ndarray | None
         n = sizes[ids[0]]
         groups.append((_read_only(ids), _read_only(edges[np.arange(n)[:, None] + starts[ids]])))
     return tuple(groups)
+
+
+def _raveled(groups: tuple) -> np.ndarray:
+    """The edge blocks of `groups` raveled in turn, as one read-only (E,) array."""
+    return _read_only(np.concatenate([np.empty(0, np.intp), *(e.ravel() for _, e in groups)]))
+
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation `order`: the row of each edge in it."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    return pos
+
+
+def _consecutive(rows: np.ndarray) -> np.ndarray | slice:
+    """`rows` as a slice if they are consecutive and increasing, else as they are."""
+    lo = int(rows[0])
+    consecutive = np.array_equal(rows, np.arange(lo, lo + rows.size))
+    return slice(lo, lo + rows.size) if consecutive else rows
 
 
 def _integer(value, field: str) -> int:
@@ -220,7 +288,8 @@ def build_graph(
 
     Factor ordering is preserved from the input. The graph keeps a read-only
     copy of `unary` and a read-only view of a copy of `params`, so later
-    changes to the caller's objects do not reach it. Raises GraphError with the
+    changes to the caller's objects do not reach it, and stacks the params'
+    CP weights once (see `FactorGraph`). Raises GraphError with the
     offending factor index for out-of-range variables, duplicate variables
     in one scope, or payload shape mismatches.
     """
@@ -274,12 +343,24 @@ def build_graph(
             )
         _read_only(unary_arr)
 
+    shapes: dict[tuple[int, int, int], list[np.ndarray]] = {}
+    cp_rows = {}
+    for pid, cp in params.items():
+        ws = shapes.setdefault(cp.weights.shape, [])
+        cp_rows[pid] = len(ws)
+        ws.append(cp.weights)
+    # one array over the weights, then one slot-major copy of it
+    cp_stacks = {shape: _read_only(np.array(ws).transpose(1, 0, 2, 3).copy())
+                 for shape, ws in shapes.items()}
+
     return FactorGraph(
         num_vars=num_vars,
         cardinality=cardinality,
         factors=bindings,
         params=params,
         unary=unary_arr,
+        cp_stacks=MappingProxyType(cp_stacks),
+        cp_rows=MappingProxyType(cp_rows),
     )
 
 
@@ -421,7 +502,10 @@ def load_graph(path) -> FactorGraph:
                 data = np.asarray(payload_spec["data"], dtype=np.float64)
                 payload = DensePayload(data.reshape(shape))
             elif kind == "lowrank":
-                payload = LowRankPayload(str(payload_spec["param_id"]))
+                pid = payload_spec["param_id"]
+                if not isinstance(pid, str):
+                    raise ValueError(f"param_id must be a string, got {pid!r}")
+                payload = LowRankPayload(pid)
             else:
                 raise ValueError(f"unknown payload kind {kind!r}")
             slots = spec.get("slots")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import FactorGraph
+from .graph import FactorGraph, _integer
 from .tensors import leave_one_out, leave_one_out_tangent
 
 
@@ -449,7 +449,8 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
 
     A missing or malformed entry raises ValueError naming it (a field by its
     key, an array by its named_arrays name, a moment as optimizer/<m|v>/<name>),
-    and so does an array or moment whose shape disagrees with the slot count,
+    and so does a d_h, rank or optimizer/step that is not an integer (2.5,
+    true), an array or moment whose shape disagrees with the slot count,
     d_h, rank, the MLP width (the length of mlp/b1) or the readout width (the
     length of readout/b), and a slot id that the list repeats. A checkpoint with
     one array per slot lacks slot/w_in."""
@@ -475,7 +476,10 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
             raise ValueError(f"repeated slot id {repeated[0]!r}")
         return tuple(x)
 
-    d_h, rank = field(int, doc, "d_h"), field(int, doc, "rank")
+    def integer(x):  # 2.5 or true is refused, not truncated
+        return _integer(x, "value")
+
+    d_h, rank = field(integer, doc, "d_h"), field(integer, doc, "rank")
     slot_ids = field(ids, doc, "slots")
     arrays = field(dict, doc, "arrays")
     d_mlp, out_dim = field(arr, arrays, "mlp/b1").size, field(arr, arrays, "readout/b").size
@@ -501,4 +505,4 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
         return p, None
     moments = [table(field(dict, opt, k, "optimizer/"), f"optimizer/{k}/", f"optimizer {k} of ")
                for k in "mv"]
-    return p, AdamState(field(int, opt, "step", "optimizer/"), *moments)
+    return p, AdamState(field(integer, opt, "step", "optimizer/"), *moments)

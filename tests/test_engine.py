@@ -392,6 +392,22 @@ class TestRunLBP:
             run_lbp(g, LBPOptions(tol=0.0))
         with pytest.raises(ValueError, match="damping"):
             run_lbp(g, LBPOptions(damping=1.0))
+        with pytest.raises(ValueError, match="max_iters must be >= 0, got -3"):
+            run_lbp(g, LBPOptions(max_iters=-3))
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_normalize_matches_numpy_sum(self, d):
+        # row totals are column adds: np.sum's order below 8 columns, so
+        # bitwise there even with cancellation; pairwise sums differ from 8 on
+        rng = np.random.default_rng(90 + d)
+        raw = rng.uniform(size=(400, d)) * 10.0 ** rng.integers(-3, 4, size=(400, d))
+        mixed = raw * rng.choice([-1.0, 1.0], size=raw.shape)
+        for x in (raw, mixed) if d <= 7 else (raw,):
+            got, want = _normalize(x, "row {}", range(400)), x / x.sum(axis=-1, keepdims=True)
+            if d <= 7:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def random_loopy_graph(seed, d, specs, isolated):
@@ -527,8 +543,119 @@ class TestEdgeLayout:
         assert len(builds) == 1 and all(t.graph is g for t in tapes)
         lay = g.layout
         arrays = [lay.var, lay.fac, g.slots.slot, *(x for group in lay.lowrank + lay.dense
-                                                     + lay.buckets + g.slots.groups for x in group)]
+                                                     + lay.buckets + g.slots.groups for x in group),
+                  lay.bucket_edges, lay.block_edges, lay.to_buckets, lay.to_blocks,
+                  *g.cp_stacks.values(), *g.cp_blocks]
         assert not any(x.flags.writeable for x in arrays)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_shared_and_unused_params_match_reference_loop(self, damping):
+        # arity 3 has CP ranks 2 and 4 and a dense block; params "a" and "c"
+        # are shared, so those blocks gather their rows; the arity-2 block's rows
+        # 1 and 2 are consecutive, so it views its stack. "u2" and "u3" are
+        # unused, and "u5" has another cardinality.
+        rng = np.random.default_rng(91)
+        d, num_vars = 3, 9
+        params = {pid: cp_random(n, d, r, seed=int(rng.integers(1e6)))
+                  for pid, n, r in [("u3", 3, 2), ("a", 3, 2), ("b", 3, 2), ("c", 3, 4),
+                                    ("u2", 2, 2), ("e", 2, 2), ("f", 2, 2)]}
+        params["u5"] = cp_random(3, 5, 2, seed=92)
+        kinds = ["a", "c", "dense", "b", "e", "a", "dense", "f", "c", "b"]
+        bindings = [FactorBinding(tuple(rng.choice(num_vars, size=2 if k in "ef" else 3,
+                                                   replace=False).tolist()),
+                                  DensePayload(rng.uniform(0.1, 1.0, size=(d,) * 3)) if k == "dense"
+                                  else LowRankPayload(k)) for k in kinds]
+        g = build_graph(num_vars, d, bindings, unary=rng.uniform(0.1, 1.0, size=(num_vars, d)),
+                        params=params)
+        lay = g.layout
+        assert [(shape, rows if isinstance(rows, slice) else rows.tolist())
+                for shape, rows in lay.lowrank_rows] == [
+            ((2, 3, 2), slice(1, 3)), ((3, 3, 2), [1, 2, 1, 2]), ((3, 3, 4), [0, 0])]
+        for (ids, _), (shape, rows), w in zip(lay.lowrank, lay.lowrank_rows, g.cp_blocks):
+            want = np.stack([params[g.factors[a].payload.param_id].weights for a in ids], axis=1)
+            assert w.tobytes() == want.tobytes() and w.shape == want.shape
+            assert np.shares_memory(w, g.cp_stacks[shape]) == isinstance(rows, slice)
+        opts = LBPOptions(max_iters=60, tol=1e-10, damping=damping)
+        got = run_lbp(g, opts)
+        beliefs, iterations, converged = reference_lbp(g, opts)
+        assert converged and got.converged and got.iterations_used == iterations
+        assert np.max(np.abs(got.beliefs - beliefs)) <= 1e-12
+
+    def test_second_solve_reuses_cp_blocks_and_stacks_nothing(self, monkeypatch):
+        g = random_loopy_graph(5, 3, [(2, 2, True), (3, 4, True), (2, 2, True), (3, 1, False)],
+                               isolated=1)
+        first = run_lbp(g)
+        blocks = g.cp_blocks
+        assert len(blocks) == 2 and not any(w.flags.writeable for w in blocks)
+
+        def stacking(*args, **kwargs):
+            raise AssertionError("a second solve stacked CP weights")
+
+        for module, name in ((np, "stack"), (np, "array"), (engine, "factor_cp")):
+            monkeypatch.setattr(module, name, stacking)
+        again = run_lbp(g)
+        assert g.cp_blocks is blocks
+        assert again.beliefs.tobytes() == first.beliefs.tobytes()
+
+
+def reordered_graph(unary=((1.0, 1.0),) * 4, table=None, weights=None, lowrank0=None):
+    """Factors 0 (0, 2) dense, or low-rank of rank 3 with `lowrank0`'s
+    weights, 1 (1, 3) low-rank of rank 2 and 2 (0, 3) dense, over d = 2:
+    variables 1 and 2 have degree 1, so they come first in bucket order, and
+    factor 1 comes first in block order."""
+    rng = np.random.default_rng(93)
+    params = {"p1": CPFactor(2, 2, 2, rng.uniform(0.5, 1.0, size=(2, 2, 2)) if weights is None
+                             else weights)}
+    if lowrank0 is None:
+        f0 = DensePayload(rng.uniform(0.5, 1.0, size=(2, 2)) if table is None else table)
+    else:
+        params["p0"], f0 = CPFactor(2, 2, 3, lowrank0), LowRankPayload("p0")
+    bindings = [FactorBinding((0, 2), f0), FactorBinding((1, 3), LowRankPayload("p1")),
+                FactorBinding((0, 3), DensePayload(rng.uniform(0.5, 1.0, size=(2, 2))))]
+    return build_graph(4, 2, bindings, unary=unary, params=params)
+
+
+class TestMessageOrders:
+    """Errors and warnings name edges in edge order, whatever order the
+    half-sweeps keep their messages in."""
+
+    @pytest.mark.parametrize("graph, error, match", [
+        # every message out of variables 0 (edges 0, 4) and 1 (edge 2) is zero
+        (dict(unary=((0.0, 0.0),) * 2 + ((1.0, 1.0),) * 2), ZeroMessageError,
+         r"^message 0->0 normalized to zero mass$"),
+        # every message out of factors 0 (edges 0, 1) and 1 (edges 2, 3) is zero
+        (dict(table=np.zeros((2, 2)), weights=np.zeros((2, 2, 2))), ZeroMessageError,
+         r"^message 0->0 normalized to zero mass$"),
+        (dict(unary=((np.inf, 1.0),) * 2 + ((1.0, 1.0),) * 2), FloatingPointError,
+         r"^non-finite message \(0, 0\) at iteration 1$"),
+        (dict(table=[[np.inf, 1.0], [1.0, 1.0]], weights=np.full((2, 2, 2), np.inf)),
+         FloatingPointError, r"^non-finite message \(0, 0\) at iteration 1$"),
+    ])
+    def test_errors_name_the_first_edge(self, graph, error, match):
+        g = reordered_graph(**graph)
+        lay = g.layout
+        assert lay.bucket_edges.tolist() == [2, 1, 0, 3, 4, 5]
+        assert lay.block_edges.tolist() == [2, 3, 0, 4, 1, 5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error, match=match):
+                run_lbp(g)
+
+    def test_sign_warning_names_the_first_edge(self):
+        # both low-rank factors send negative entries; factor 0's rank-3 block
+        # comes after factor 1's rank-2 block
+        w0 = np.array([[[1.0, -0.5, 0.0], [0.5, 1.0, 0.0]], [[1.0, 1.0, 0.0], [0.2, -2.0, 0.0]]])
+        w1 = w0[:, :, :2].copy()
+        g = reordered_graph(weights=w1, lowrank0=w0)
+        assert g.layout.block_edges.tolist() == [2, 3, 0, 1, 4, 5]
+        opts = LBPOptions(max_iters=1)
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            run_lbp(g, opts)
+            reference_lbp(g, opts)
+        got, *per_message = [str(r.message) for r in records]
+        first = per_message[0].split()[2]  # "low-rank message a->i has ..."
+        assert first == "0->0" and f"first {first})" in got
 
 
 class TestDenseMessages:

@@ -352,6 +352,8 @@ class TestGraphFile:
         ("factors/0/slots", [1, 2], "factor 0: slot ids must be strings"),
         ("factors/0/slots", ["a", None], "factor 0: slot ids must be strings"),
         ("factors/0/slots", "ab", "factor 0: slots must be null or a list"),
+        # a param id is a string, not coerced to one
+        ("factors/0/payload/param_id", 5, "factor 0: param_id must be a string, got 5"),
     ])
     def test_malformed_value_reported_as_graph_error(self, tmp_path, path, value, match):
         doc = {

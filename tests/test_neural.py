@@ -719,7 +719,7 @@ class TestCheckpoint:
                 assert same_bits(opt.m[k], opt2.m[k]) and same_bits(opt.v[k], opt2.v[k])
 
     # `name` is a top-level field, an array's named_arrays name (looked up in
-    # "arrays") or a moment as optimizer/<m|v>/<name>
+    # "arrays"), a moment as optimizer/<m|v>/<name> or optimizer/step
     @pytest.mark.parametrize("name, value, match", [
         ("mlp/w1", None, "missing mlp/w1"),
         ("slot/w_in", None, "missing slot/w_in"),
@@ -737,6 +737,12 @@ class TestCheckpoint:
         ("slots", 5, "field slots"),
         ("slots", "ab", "field slots"),
         ("slots", ["a", "a"], "field slots: repeated slot id 'a'"),
+        # integer fields are not truncated from floats or bools
+        ("d_h", 4.9, "field d_h: value must be an integer, got 4.9"),
+        ("rank", 2.5, "field rank: value must be an integer, got 2.5"),
+        ("rank", True, "field rank: value must be an integer, got True"),
+        ("optimizer/step", 2.7, "field optimizer/step: value must be an integer, got 2.7"),
+        ("optimizer/step", True, "field optimizer/step: value must be an integer, got True"),
     ])
     def test_malformed_checkpoint_reported(self, tmp_path, name, value, match):
         p = init_layer_params(["a", "b"], d_h=3, rank=2, d_mlp=4, seed=0)
@@ -746,8 +752,10 @@ class TestCheckpoint:
         if name in doc:
             parent, key = doc, name
         elif name.startswith("optimizer/"):
-            _, moment, key = name.split("/", 2)
-            parent = doc["optimizer"][moment]
+            *moment, key = name.split("/", 2)[1:]
+            parent = doc["optimizer"]
+            for k in moment:
+                parent = parent[k]
         else:
             parent, key = doc["arrays"], name
         if value is None:
