@@ -13,12 +13,13 @@ order and factor-to-variable messages in block order (see
 order once and hands every block or bucket its slice of rows as a slot-major
 view, writing its results into the matching slice, so the leave-one-out
 products run along axis 0. Errors and warnings still name edges in the edge
-order of `lrbp.graph`. The factor groups are the layout's blocks, and a
-low-rank block's (n, F, d, R) CP weights are `g.cp_blocks`, read from the
-stacks the graph builds; both are built once per graph, so a solve stacks
-nothing. A low-rank block holds the factors of one (arity n, rank R): it
-projects its (n, F, d) rows through its weights, takes the leave-one-out
-Hadamard product over the slot axis and maps back, O(n * d * R) per factor.
+order of `lrbp.graph`. The factor groups are the layout's blocks, built with
+the graph, and a low-rank block's (n, F, d, R) CP weights are `g.cp_blocks`,
+gathered from the params by the graph's first solve, so a later solve
+gathers nothing. A low-rank block holds the factors of one (arity n, rank
+R): it projects its (n, F, d) rows through its weights, takes the
+leave-one-out Hadamard product over the slot axis and maps back,
+O(n * d * R) per factor.
 The dense block of one arity goes in one call: a prefix contraction of each
 table against suffix outer products of the rows sends all n messages of a
 factor in O(d**n). The two steps that read a table run per factor, in place;

@@ -15,15 +15,14 @@ in scope order; its k-th edge joins it to variable scope[k]. The neural layer
 keeps one message per edge in this order; LBP keeps its two message families
 in the two orders of `EdgeLayout`, each the order in which its half-sweep
 writes them, and names edges by this one.
-`FactorGraph.layout` holds the edge arrays, the factor blocks that LBP and
-the neural layer batch their kernels over, the degree buckets, the graph's
-only variable-to-factor adjacency, and LBP's two message orders;
-`FactorGraph.slots` holds the neural layer's slot index, its slots grouped by
-edge count; `FactorGraph.cp_blocks` holds the CP weights of LBP's low-rank
-blocks. Each is built on first use, once per graph, deterministically from
-the frozen factors and the read-only params, so concurrent first reads are
-safe: at worst two threads build equal copies. The CP stacks that
-`cp_blocks` reads are built with the graph.
+`build_graph` builds `FactorGraph.layout` with the graph, from the facts its
+validation reads: the edge arrays, the factor blocks that LBP and the neural
+layer batch their kernels over, the degree buckets, the graph's only
+variable-to-factor adjacency, and LBP's two message orders. What only one
+consumer reads is built on its first use, once per graph: `cp_blocks`, the CP
+weights of LBP's low-rank blocks, and `slots`, the neural layer's slot index.
+Both are deterministic in the frozen factors and the read-only params, so
+concurrent first reads are safe: at worst two threads build equal copies.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .tensors import CAPACITY, CapacityError, CPFactor, cp_expand
+from .tensors import CAPACITY, CapacityError, CPFactor, _float_array, cp_expand
 
 
 class GraphError(ValueError):
@@ -51,7 +50,7 @@ class DensePayload:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64, order="C").view()
+        table = _float_array(self.table, "table", copy=False).view()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -95,69 +94,32 @@ class FactorBinding:
 
 @dataclass(frozen=True, eq=False)  # identity equality, as EdgeLayout: fields hold arrays
 class FactorGraph:
-    """A frozen factor graph; `build_graph` makes one.
-
-    Besides the params, the graph holds their CP weights stacked by shape:
-    `cp_stacks[(n, d, R)]` is the read-only, slot-major (n, P, d, R) array of
-    the P params of that weight shape, used or not, and `cp_rows[pid]` is
-    param pid's row in its shape's stack, in the order of `params`."""
+    """A frozen factor graph; `build_graph` makes one, with its layout."""
 
     num_vars: int
     cardinality: int
     factors: tuple[FactorBinding, ...]
     params: Mapping[str, CPFactor]  # read-only
     unary: np.ndarray | None  # read-only (num_vars, d), or None (treated as all-ones)
-    cp_stacks: Mapping[tuple[int, int, int], np.ndarray]  # read-only
-    cp_rows: Mapping[str, int]  # read-only
-
-    @cached_property
-    def layout(self) -> EdgeLayout:
-        """The edge arrays of this graph, built on first use."""
-        arity = np.array([len(b.scope) for b in self.factors], dtype=np.intp)
-        var = np.array([v for b in self.factors for v in b.scope], dtype=np.intp)
-        # CP rank and param row of each factor, 0 for a dense one: a block per
-        # (arity, rank)
-        pids = [b.payload.param_id if isinstance(b.payload, LowRankPayload) else None
-                for b in self.factors]
-        rank = np.array([0 if p is None else self.params[p].rank for p in pids], dtype=np.intp)
-        row = np.array([0 if p is None else self.cp_rows[p] for p in pids], dtype=np.intp)
-        blocks = _groups_by_size(arity, np.arange(var.size),
-                                 key=arity * (rank.max(initial=0) + 1) + rank)
-        lowrank = tuple((ids, e) for ids, e in blocks if rank[ids[0]])
-        dense = tuple((ids, e) for ids, e in blocks if not rank[ids[0]])
-        # a stable sort keeps each variable's edges in factor order
-        buckets = _groups_by_size(np.bincount(var, minlength=self.num_vars),
-                                  np.argsort(var, kind="stable"))
-        bucket_edges, block_edges = _raveled(buckets), _raveled(lowrank + dense)
-        return EdgeLayout(
-            var=_read_only(var),
-            fac=_read_only(np.repeat(np.arange(arity.size), arity)),
-            lowrank=lowrank,
-            dense=dense,
-            buckets=buckets,
-            lowrank_rows=tuple(((e.shape[0], self.cardinality, int(rank[ids[0]])),
-                                _consecutive(row[ids])) for ids, e in lowrank),
-            bucket_edges=bucket_edges,
-            block_edges=block_edges,
-            to_buckets=_read_only(_positions(block_edges)[bucket_edges]),
-            to_blocks=_read_only(_positions(bucket_edges)[block_edges]),
-        )
+    layout: EdgeLayout
 
     @cached_property
     def cp_blocks(self) -> tuple[np.ndarray, ...]:
         """The read-only, slot-major (n, F, d, R) CP weights of each of the
         layout's `lowrank` blocks, built on first use: column f holds the
-        weights of the block's f-th factor. A view of the stack of its shape
-        when the block's param rows are consecutive, else one gather from it.
-        Only LBP reads these, so the neural layer never builds them."""
-        return tuple(_read_only(self.cp_stacks[shape][:, rows])
-                     for shape, rows in self.layout.lowrank_rows)
+        weights of the block's f-th factor, gathered from the params by one
+        concatenate. Only LBP reads these, so the neural layer never builds
+        them."""
+        d, params, factors = self.cardinality, self.params, self.factors
+        return tuple(_read_only(np.concatenate([params[factors[a].payload.param_id].weights
+                                                for a in ids.tolist()], axis=1)
+                                .reshape(*e.shape, d, -1))
+                     for ids, e in self.layout.lowrank)
 
     @cached_property
     def slots(self) -> SlotIndex:
-        """The neural layer's slot index, built when it first asks. Kept apart
-        from `layout`, so that listing the slot ids builds no edge arrays.
-        Raises as `factor_slots` does."""
+        """The neural layer's slot index, built when it first asks. Raises as
+        `factor_slots` does."""
         index: dict[str, int] = {}
         slot = np.array([index.setdefault(sid, len(index)) for a in range(len(self.factors))
                          for sid in factor_slots(self, a)], dtype=np.intp)
@@ -195,9 +157,6 @@ class EdgeLayout:
     lowrank: tuple  # ((F,) factors, (n, F) edges) per CP (arity n, rank R), columns in factor order
     dense: tuple  # ((F,) factors, (n, F) edges) per dense arity n, columns in factor order
     buckets: tuple  # ((V,) variables, (D, V) edges) per degree D, each column in factor order
-    # ((n, d, R) key of the graph's CP stack, the (F,) param rows of its
-    # factors in it, or a slice when they are consecutive) per `lowrank` block
-    lowrank_rows: tuple
     bucket_edges: np.ndarray  # (E,) edge of each row in bucket order
     block_edges: np.ndarray  # (E,) edge of each row in block order
     to_buckets: np.ndarray  # (E,) block-order row of each bucket-order row
@@ -213,6 +172,30 @@ class SlotIndex:
     ids: tuple[str, ...]  # (S,) slot ids in first-appearance order
     slot: np.ndarray  # (E,) index into `ids` of each edge's slot
     groups: tuple  # ((S_c,) slots, (S_c, c) edges) per edge count c, each row in edge order
+
+
+def _edge_layout(num_vars: int, arity: np.ndarray, var: np.ndarray, rank: np.ndarray) -> EdgeLayout:
+    """The EdgeLayout of factors of these arities and CP ranks (0 for a dense
+    factor), whose scopes hold the variables `var`, raveled in edge order."""
+    # a block per (arity, rank)
+    blocks = _groups_by_size(arity, np.arange(var.size),
+                             key=arity * (rank.max(initial=0) + 1) + rank)
+    lowrank = tuple((ids, e) for ids, e in blocks if rank[ids[0]])
+    dense = tuple((ids, e) for ids, e in blocks if not rank[ids[0]])
+    # a stable sort keeps each variable's edges in factor order
+    buckets = _groups_by_size(np.bincount(var, minlength=num_vars), np.argsort(var, kind="stable"))
+    bucket_edges, block_edges = _raveled(buckets), _raveled(lowrank + dense)
+    return EdgeLayout(
+        var=_read_only(var),
+        fac=_read_only(np.repeat(np.arange(arity.size), arity)),
+        lowrank=lowrank,
+        dense=dense,
+        buckets=buckets,
+        bucket_edges=bucket_edges,
+        block_edges=block_edges,
+        to_buckets=_read_only(_positions(block_edges)[bucket_edges]),
+        to_blocks=_read_only(_positions(bucket_edges)[block_edges]),
+    )
 
 
 def _groups_by_size(sizes: np.ndarray, edges: np.ndarray, key: np.ndarray | None = None) -> tuple:
@@ -242,22 +225,17 @@ def _positions(order: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _consecutive(rows: np.ndarray) -> np.ndarray | slice:
-    """`rows` as a slice if they are consecutive and increasing, else as they are."""
-    lo = int(rows[0])
-    consecutive = np.array_equal(rows, np.arange(lo, lo + rows.size))
-    return slice(lo, lo + rows.size) if consecutive else rows
-
-
-def _integer(value, field: str) -> int:
-    """`value` as an int if it is a Python or NumPy integer, and not a bool;
-    otherwise GraphError naming `field`, so that 2.5 or true is refused
-    rather than truncated."""
-    if type(value) is int:  # the usual case, and the cheapest check
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise GraphError(f"{field} must be an integer, got {value!r}")
+def _integer(value, field: str, minimum: int | None = None) -> int:
+    """`value` as an int if it is a Python or NumPy integer, and not a bool,
+    of at least `minimum` if that is given; otherwise GraphError naming
+    `field`, so that 2.5 or true is refused rather than truncated."""
+    if type(value) is not int:  # an int is the usual case, and the cheapest check
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise GraphError(f"{field} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise GraphError(f"{field} must be >= {minimum}, got {value}")
+    return value
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -284,22 +262,24 @@ def build_graph(
     unary=None,
     params: Mapping[str, CPFactor] | None = None,
 ) -> FactorGraph:
-    """Validate bindings and freeze the graph.
+    """Validate bindings and freeze the graph, with its edge layout.
 
     Factor ordering is preserved from the input. The graph keeps a read-only
     copy of `unary` and a read-only view of a copy of `params`, so later
-    changes to the caller's objects do not reach it, and stacks the params'
-    CP weights once (see `FactorGraph`). Raises GraphError with the
-    offending factor index for out-of-range variables, duplicate variables
-    in one scope, or payload shape mismatches.
+    changes to the caller's objects do not reach it. Raises GraphError for a
+    num_vars or cardinality that is not an integer, or below 0 and 2, for a
+    unary that is not a (num_vars, cardinality) array of numbers, and, with
+    the offending factor index, for out-of-range variables, duplicate
+    variables in one scope, or payload shape mismatches.
     """
-    if num_vars < 0:
-        raise GraphError(f"num_vars must be >= 0, got {num_vars}")
-    if cardinality < 2:
-        raise GraphError(f"cardinality must be >= 2, got {cardinality}")
+    num_vars = _integer(num_vars, "num_vars", 0)
+    cardinality = _integer(cardinality, "cardinality", 2)
     params = MappingProxyType(dict(params) if params else {})
     bindings = tuple(bindings)
 
+    # what the layout reads: each factor's arity and CP rank (0 for a dense
+    # one) and each edge's variable
+    arity, rank, var = [], [], []
     for a, binding in enumerate(bindings):
         scope = binding.scope
         if not scope:
@@ -316,6 +296,7 @@ def build_graph(
                 raise GraphError(
                     f"factor {a}: dense payload shape {payload.table.shape}, expected {want}"
                 )
+            rank.append(0)
         elif isinstance(payload, LowRankPayload):
             if payload.param_id not in params:
                 raise GraphError(f"factor {a}: unknown param_id {payload.param_id!r}")
@@ -328,30 +309,23 @@ def build_graph(
                 raise GraphError(
                     f"factor {a}: low-rank cardinality {cp.cardinality} != {cardinality}"
                 )
+            rank.append(cp.rank)
         else:
             raise GraphError(f"factor {a}: unknown payload type {type(payload).__name__}")
+        arity.append(len(scope))
+        var.extend(scope)
 
     unary_arr = None
     if unary is not None:
         try:
-            unary_arr = np.array(unary, dtype=np.float64, order="C")
-        except (TypeError, ValueError) as exc:
-            raise GraphError(f"unary: {exc}") from exc
+            unary_arr = _float_array(unary, "unary")
+        except ValueError as exc:
+            raise GraphError(str(exc)) from exc
         if unary_arr.shape != (num_vars, cardinality):
             raise GraphError(
                 f"unary has shape {unary_arr.shape}, expected {(num_vars, cardinality)}"
             )
         _read_only(unary_arr)
-
-    shapes: dict[tuple[int, int, int], list[np.ndarray]] = {}
-    cp_rows = {}
-    for pid, cp in params.items():
-        ws = shapes.setdefault(cp.weights.shape, [])
-        cp_rows[pid] = len(ws)
-        ws.append(cp.weights)
-    # one array over the weights, then one slot-major copy of it
-    cp_stacks = {shape: _read_only(np.array(ws).transpose(1, 0, 2, 3).copy())
-                 for shape, ws in shapes.items()}
 
     return FactorGraph(
         num_vars=num_vars,
@@ -359,8 +333,8 @@ def build_graph(
         factors=bindings,
         params=params,
         unary=unary_arr,
-        cp_stacks=MappingProxyType(cp_stacks),
-        cp_rows=MappingProxyType(cp_rows),
+        layout=_edge_layout(num_vars, np.array(arity, dtype=np.intp),
+                            np.array(var, dtype=np.intp), np.array(rank, dtype=np.intp)),
     )
 
 
@@ -468,8 +442,7 @@ def load_graph(path) -> FactorGraph:
     if not isinstance(doc, dict):
         raise GraphError(f"graph file holds a JSON {type(doc).__name__}, expected an object")
     try:
-        num_vars = _integer(doc["num_vars"], "num_vars")
-        cardinality = _integer(doc["cardinality"], "cardinality")
+        num_vars, cardinality = doc["num_vars"], doc["cardinality"]  # build_graph checks them
         raw_factors = doc["factors"]
         raw_params = doc.get("params") or {}
     except KeyError as exc:
@@ -499,7 +472,7 @@ def load_graph(path) -> FactorGraph:
                 # np.reshape would take a -1 as "infer this axis"
                 if min(shape, default=1) < 1:
                     raise ValueError(f"dense shape {shape} has an axis below 1")
-                data = np.asarray(payload_spec["data"], dtype=np.float64)
+                data = _float_array(payload_spec["data"], "data")
                 payload = DensePayload(data.reshape(shape))
             elif kind == "lowrank":
                 pid = payload_spec["param_id"]

@@ -92,10 +92,14 @@ def init_layer_params(
     Slots, MLP and readout each draw from their own child stream of
     `SeedSequence(seed)`, so for a given seed the MLP and readout arrays do
     not depend on the slot ids, and slot k's matrices (w_in, then w_out) do
-    not depend on the slots after it. A repeated slot id counts once.
+    not depend on the slots after it. A repeated slot id counts once. A d_h,
+    rank, d_mlp (by default 2 * d_h) or out_dim that is not a positive
+    integer raises ValueError.
     """
     slot_ids = tuple(dict.fromkeys(slot_ids))
-    d_mlp = 2 * d_h if d_mlp is None else d_mlp
+    d_h, rank = _integer(d_h, "d_h", 1), _integer(rank, "rank", 1)
+    out_dim = _integer(out_dim, "out_dim", 1)
+    d_mlp = _integer(2 * d_h if d_mlp is None else d_mlp, "d_mlp", 1)
     slot_rng, mlp_rng, ro_rng = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)
     )

@@ -54,13 +54,28 @@ class CPFactor:
         want = (self.arity, self.cardinality, self.rank)
         expected = f"expected shape {want}: {self.arity} weight matrices of shape {want[1:]}"
         try:
-            w = np.array(self.weights, dtype=np.float64, order="C")
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"weights do not form one array ({exc}); {expected}") from None
+            w = _float_array(self.weights, "weights")
+        except ValueError as exc:
+            raise ValueError(f"{exc}; {expected}") from None
         if w.shape != want:
             raise ValueError(f"weights have shape {w.shape}; {expected}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+
+def _float_array(x, field: str, copy: bool = True) -> np.ndarray:
+    """`x` as a C-contiguous float64 array: a new one, or with copy=False `x`
+    itself when it already is one. Raises ValueError naming `field` unless
+    NumPy reads `x` as one array of real numbers (dtype kind f, i or u), so
+    that strings, bools, None and complex values are refused rather than
+    converted."""
+    try:
+        a = np.array(x) if copy else np.asarray(x)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: not one array ({exc})") from None
+    if a.dtype.kind not in "fiu":
+        raise ValueError(f"{field} must be real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, order="C", copy=False)
 
 
 def cp_expand(f: CPFactor) -> np.ndarray:

@@ -18,7 +18,7 @@ from lrbp.engine import (
     exact_marginals,
     run_lbp,
 )
-from lrbp.graph import DensePayload, FactorBinding, LowRankPayload, build_graph
+from lrbp.graph import DensePayload, FactorBinding, GraphError, LowRankPayload, build_graph
 from lrbp.tensors import CPFactor, cp_expand, cp_random
 from reference import (
     MessageState,
@@ -525,9 +525,10 @@ class TestEdgeLayout:
         assert got.iterations_used == iterations and got.converged == converged
         assert np.max(np.abs(got.beliefs - beliefs)) <= 1e-12
 
-    def test_layout_built_once_and_read_only(self, monkeypatch):
+    @staticmethod
+    def count_layout_builds(monkeypatch) -> list:
+        """A list that gains an entry whenever `lrbp.graph` builds an EdgeLayout."""
         from lrbp import graph
-        from lrbp.neural import HiddenStates, forward_stack, graph_slot_ids, init_layer_params
 
         builds, layout_type = [], graph.EdgeLayout
 
@@ -536,24 +537,43 @@ class TestEdgeLayout:
             return layout_type(**fields)
 
         monkeypatch.setattr(graph, "EdgeLayout", counting)
+        return builds
+
+    def test_layout_built_once_and_read_only(self, monkeypatch):
+        from lrbp.neural import HiddenStates, forward_stack, graph_slot_ids, init_layer_params
+
+        builds = self.count_layout_builds(monkeypatch)
         g = random_loopy_graph(3, 3, [(2, 2, True), (3, 4, True), (4, 1, True)], isolated=1)
-        run_lbp(g)
+        assert len(builds) == 1  # with the graph
         p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2)
         _, tapes = forward_stack(HiddenStates(np.ones((g.num_vars, 3))), g, p, layers=3)
-        assert len(builds) == 1 and all(t.graph is g for t in tapes)
+        # the neural layer reads no CP weights, so it builds no blocks of them
+        assert "cp_blocks" not in g.__dict__ and all(t.graph is g for t in tapes)
+        run_lbp(g)
+        assert len(builds) == 1
         lay = g.layout
         arrays = [lay.var, lay.fac, g.slots.slot, *(x for group in lay.lowrank + lay.dense
                                                      + lay.buckets + g.slots.groups for x in group),
-                  lay.bucket_edges, lay.block_edges, lay.to_buckets, lay.to_blocks,
-                  *g.cp_stacks.values(), *g.cp_blocks]
-        assert not any(x.flags.writeable for x in arrays)
+                  lay.bucket_edges, lay.block_edges, lay.to_buckets, lay.to_blocks, *g.cp_blocks]
+        assert len(g.cp_blocks) == 3 and not any(x.flags.writeable for x in arrays)
+
+    @pytest.mark.parametrize("bad", [
+        FactorBinding((0, 9), DensePayload(np.ones((2, 2)))),
+        FactorBinding((0, 1), LowRankPayload("missing")),
+        FactorBinding((0, 1, 2), LowRankPayload("p")),
+    ])
+    def test_invalid_binding_raises_before_the_layout(self, monkeypatch, bad):
+        builds = self.count_layout_builds(monkeypatch)
+        good = FactorBinding((1, 2), LowRankPayload("p"))
+        with pytest.raises(GraphError, match="factor 1"):
+            build_graph(3, 2, [good, bad, good], params={"p": cp_random(2, 2, 2, seed=0)})
+        assert builds == []
 
     @pytest.mark.parametrize("damping", [0.0, 0.3])
     def test_shared_and_unused_params_match_reference_loop(self, damping):
         # arity 3 has CP ranks 2 and 4 and a dense block; params "a" and "c"
-        # are shared, so those blocks gather their rows; the arity-2 block's rows
-        # 1 and 2 are consecutive, so it views its stack. "u2" and "u3" are
-        # unused, and "u5" has another cardinality.
+        # are shared by factors of one block. "u2" and "u3" are unused, and
+        # "u5" has another cardinality.
         rng = np.random.default_rng(91)
         d, num_vars = 3, 9
         params = {pid: cp_random(n, d, r, seed=int(rng.integers(1e6)))
@@ -568,13 +588,13 @@ class TestEdgeLayout:
         g = build_graph(num_vars, d, bindings, unary=rng.uniform(0.1, 1.0, size=(num_vars, d)),
                         params=params)
         lay = g.layout
-        assert [(shape, rows if isinstance(rows, slice) else rows.tolist())
-                for shape, rows in lay.lowrank_rows] == [
-            ((2, 3, 2), slice(1, 3)), ((3, 3, 2), [1, 2, 1, 2]), ((3, 3, 4), [0, 0])]
-        for (ids, _), (shape, rows), w in zip(lay.lowrank, lay.lowrank_rows, g.cp_blocks):
+        assert [[kinds[a] for a in ids] for ids, _ in lay.lowrank] == [
+            ["e", "f"], ["a", "b", "a", "b"], ["c", "c"]]
+        assert [w.shape for w in g.cp_blocks] == [(2, 2, 3, 2), (3, 4, 3, 2), (3, 2, 3, 4)]
+        for (ids, _), w in zip(lay.lowrank, g.cp_blocks):
             want = np.stack([params[g.factors[a].payload.param_id].weights for a in ids], axis=1)
             assert w.tobytes() == want.tobytes() and w.shape == want.shape
-            assert np.shares_memory(w, g.cp_stacks[shape]) == isinstance(rows, slice)
+            assert not w.flags.writeable
         opts = LBPOptions(max_iters=60, tol=1e-10, damping=damping)
         got = run_lbp(g, opts)
         beliefs, iterations, converged = reference_lbp(g, opts)
@@ -591,7 +611,8 @@ class TestEdgeLayout:
         def stacking(*args, **kwargs):
             raise AssertionError("a second solve stacked CP weights")
 
-        for module, name in ((np, "stack"), (np, "array"), (engine, "factor_cp")):
+        for module, name in ((np, "stack"), (np, "array"), (np, "concatenate"),
+                             (engine, "factor_cp")):
             monkeypatch.setattr(module, name, stacking)
         again = run_lbp(g)
         assert g.cp_blocks is blocks

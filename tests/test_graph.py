@@ -122,6 +122,42 @@ class TestBuildGraph:
                     ],
                 )
 
+    @pytest.mark.parametrize("num_vars, cardinality, match", [
+        (2.5, 2, "num_vars must be an integer, got 2.5"),
+        (2, 2.0, "cardinality must be an integer, got 2.0"),
+        (True, 2, "num_vars must be an integer, got True"),
+        (-1, 2, "num_vars must be >= 0, got -1"),
+        (2, 1, "cardinality must be >= 2, got 1"),
+    ])
+    def test_sizes_rejected(self, num_vars, cardinality, match):
+        with pytest.raises(GraphError, match=match):
+            build_graph(num_vars, cardinality, [FactorBinding((0, 1), DensePayload(np.ones((2, 2))))])
+
+    def test_sizes_stored_as_python_ints(self):
+        g = build_graph(np.int64(2), np.int32(2), [FactorBinding((0, 1), DensePayload(np.ones((2, 2))))])
+        assert type(g.num_vars) is int and type(g.cardinality) is int
+        assert (g.num_vars, g.cardinality) == (2, 2)
+
+    def test_non_numeric_arrays_rejected(self):
+        # strings, bools, None and complex values are refused, not converted
+        for bad in (["0.5", "1e3"], [True, True], [None, 1.0], [1j, 1.0]):
+            with pytest.raises(ValueError, match="table must be real numbers"):
+                DensePayload(bad)
+            with pytest.raises(ValueError, match="weights must be real numbers"):
+                CPFactor(1, 2, 1, [[[x] for x in bad]])
+            with pytest.raises(GraphError, match="unary must be real numbers"):
+                build_graph(1, 2, [], unary=[bad])
+
+    def test_dense_payload_views_float64_input(self):
+        # a C-contiguous float64 table is viewed, not copied; other input is copied
+        table = np.ones((2, 2))
+        assert np.shares_memory(DensePayload(table).table, table) and table.flags.writeable
+        for other in (np.ones((2, 2), dtype=np.int64), np.ones((2, 2), order="F")[:, ::-1]):
+            got = DensePayload(other).table
+            assert not np.shares_memory(got, other)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert DensePayload([[1, 2], [3, 4]]).table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_lowrank_requires_known_param(self):
         with pytest.raises(GraphError, match="param_id"):
             build_graph(2, 2, [FactorBinding((0, 1), LowRankPayload("missing"))])
@@ -354,6 +390,18 @@ class TestGraphFile:
         ("factors/0/slots", "ab", "factor 0: slots must be null or a list"),
         # a param id is a string, not coerced to one
         ("factors/0/payload/param_id", 5, "factor 0: param_id must be a string, got 5"),
+        # arrays hold numbers: strings, bools and null are refused, not
+        # converted (NumPy's promotion of true mixed with numbers to a number
+        # is out of scope)
+        ("factors/1/payload/data", ["0.5", "1e3"], "factor 1: data must be real numbers"),
+        ("factors/1/payload/data", [True, True], "factor 1: data must be real numbers"),
+        ("factors/1/payload/data", [None, 1.0], "factor 1: data must be real numbers"),
+        ("unary", [["0.5", "1e3"], ["1", "1"]], "unary must be real numbers"),
+        ("unary", [[True, True], [True, True]], "unary must be real numbers"),
+        ("unary", [[None, 1.0], [1.0, 1.0]], "unary must be real numbers"),
+        ("params/p/weights", [[["0.5"], ["1e3"]]] * 2, "param 'p': weights must be real numbers"),
+        ("params/p/weights", [[[True], [True]]] * 2, "param 'p': weights must be real numbers"),
+        ("params/p/weights", [[[None], [1.0]]] * 2, "param 'p': weights must be real numbers"),
     ])
     def test_malformed_value_reported_as_graph_error(self, tmp_path, path, value, match):
         doc = {

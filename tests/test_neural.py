@@ -483,6 +483,25 @@ class TestInit:
         for name in ("mlp/w1", "mlp/b1", "mlp/w2", "mlp/b2", "readout/w", "readout/b"):
             assert np.array_equal(a[name], b[name]), name
 
+    @pytest.mark.parametrize("size, match", [
+        (dict(rank=0), "rank must be >= 1, got 0"),
+        (dict(rank=-1), "rank must be >= 1, got -1"),
+        (dict(d_h=0), "d_h must be >= 1, got 0"),
+        (dict(d_mlp=0), "d_mlp must be >= 1, got 0"),
+        (dict(out_dim=0), "out_dim must be >= 1, got 0"),
+        (dict(d_h=2.5), "d_h must be an integer, got 2.5"),
+        (dict(rank=True), "rank must be an integer, got True"),
+        (dict(d_mlp=4.0), "d_mlp must be an integer, got 4.0"),
+    ])
+    def test_sizes_must_be_positive_integers(self, size, match):
+        with pytest.raises(ValueError, match=match):
+            init_layer_params(["a"], **{"d_h": 3, "rank": 2, **size})
+
+    def test_sizes_stored_as_python_ints(self):
+        p = init_layer_params(["a"], d_h=np.int64(3), rank=np.int32(2), out_dim=np.int64(2))
+        assert type(p.d_h) is int and type(p.rank) is int
+        assert p.arrays["mlp/w1"].shape == (6, 3) and p.arrays["readout/b"].shape == (2,)
+
 
 class TestReadout:
     def test_equal_states_collapse_to_affine(self):
