@@ -44,7 +44,7 @@ import numpy as np
 # No solve calls factor_cp; the alias stays because benchmarks/test_bench.py
 # checks that the benchmark's tracer wraps it here.
 from .graph import FactorGraph, factor_cp, joint_table  # noqa: F401
-from .tensors import leave_one_out
+from .tensors import _integer, leave_one_out
 
 NEGATIVE_TOL = -1e-12
 # doubles in one chunk's intermediate in `_dense_messages` (512 KiB)
@@ -174,12 +174,11 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     order; a non-finite one raises FloatingPointError. Low-rank messages with
     negative entries (mixed-sign weights) give one SignViolationWarning per
     run, with their count, the most negative entry and the first of them.
-    A negative max_iters, a tol that is not positive or a damping outside
-    [0, 1) raises ValueError.
+    A max_iters that is not an integer >= 0, a tol that is not positive or
+    a damping outside [0, 1) raises ValueError.
     """
     opts = opts or LBPOptions()
-    if not opts.max_iters >= 0:
-        raise ValueError(f"max_iters must be >= 0, got {opts.max_iters}")
+    max_iters = _integer(opts.max_iters, "max_iters", 0)
     if not opts.tol > 0:
         raise ValueError(f"tol must be positive, got {opts.tol}")
     if not 0.0 <= opts.damping < 1.0:
@@ -208,7 +207,7 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
 
     # np.take(mode="clip") writes straight into its `out`; the indices are in range
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(1, opts.max_iters + 1):
+        for iteration in range(1, max_iters + 1):
             np.take(f2v, lay.to_buckets, axis=0, out=into_buckets, mode="clip")
             for _, u, incoming, out in buckets:
                 np.multiply(leave_one_out(incoming), u, out=out)

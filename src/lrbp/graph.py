@@ -34,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .tensors import CAPACITY, CapacityError, CPFactor, _float_array, cp_expand
+from .tensors import CAPACITY, CapacityError, CPFactor, _float_array, _integer, cp_expand
 
 
 class GraphError(ValueError):
@@ -75,7 +75,8 @@ class FactorBinding:
     slot_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scope", tuple(_integer(v, "scope entry") for v in self.scope))
+        scope = tuple(_integer(v, "scope entry", error=GraphError) for v in self.scope)
+        object.__setattr__(self, "scope", scope)
         if self.slot_ids is not None:
             slot_ids = tuple(self.slot_ids)
             if len(slot_ids) != len(self.scope):
@@ -225,19 +226,6 @@ def _positions(order: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _integer(value, field: str, minimum: int | None = None) -> int:
-    """`value` as an int if it is a Python or NumPy integer, and not a bool,
-    of at least `minimum` if that is given; otherwise GraphError naming
-    `field`, so that 2.5 or true is refused rather than truncated."""
-    if type(value) is not int:  # an int is the usual case, and the cheapest check
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise GraphError(f"{field} must be an integer, got {value!r}")
-        value = int(value)
-    if minimum is not None and value < minimum:
-        raise GraphError(f"{field} must be >= {minimum}, got {value}")
-    return value
-
-
 def _read_only(x: np.ndarray) -> np.ndarray:
     x.flags.writeable = False
     return x
@@ -272,8 +260,8 @@ def build_graph(
     the offending factor index, for out-of-range variables, duplicate
     variables in one scope, or payload shape mismatches.
     """
-    num_vars = _integer(num_vars, "num_vars", 0)
-    cardinality = _integer(cardinality, "cardinality", 2)
+    num_vars = _integer(num_vars, "num_vars", 0, error=GraphError)
+    cardinality = _integer(cardinality, "cardinality", 2, error=GraphError)
     params = MappingProxyType(dict(params) if params else {})
     bindings = tuple(bindings)
 
@@ -453,12 +441,9 @@ def load_graph(path) -> FactorGraph:
     params = {}
     for pid, spec in raw_params.items():
         try:
-            params[pid] = CPFactor(
-                arity=_integer(spec["arity"], "arity"),
-                cardinality=_integer(spec["d"], "d"),
-                rank=_integer(spec["rank"], "rank"),
-                weights=spec["weights"],
-            )
+            # CPFactor checks the sizes; "d" is checked here so that errors name the key
+            params[pid] = CPFactor(spec["arity"], _integer(spec["d"], "d"), spec["rank"],
+                                   spec["weights"])
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"param {pid!r}: {exc}") from exc
 

@@ -34,18 +34,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import FactorGraph, _integer
-from .tensors import leave_one_out, leave_one_out_tangent
+from .graph import FactorGraph
+from .tensors import _float_array, _integer, leave_one_out, leave_one_out_tangent
+
+# Adam's decay rates and denominator offset
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class HiddenStates:
-    """Per-node real state vectors (num_nodes, d_h)."""
+    """Per-node real state vectors (num_nodes, d_h), under the input contract
+    of `lrbp.tensors`; a C-contiguous float64 array is kept, not copied."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = _float_array(self.values, "hidden states", copy=False)
         if v.ndim != 2:
             raise ValueError(f"hidden states must be 2-d, got shape {v.shape}")
         object.__setattr__(self, "values", v)
@@ -207,7 +211,7 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
     factors). Overflow shows as non-finite values, not as numpy warnings.
     """
     w = tape.params.arrays
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = _float_array(upstream, "upstream gradient", copy=False)
     if upstream.shape != tape.h_in.shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != states shape {tape.h_in.shape}"
@@ -240,10 +244,10 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
 def forward_stack(
     h: HiddenStates, g: FactorGraph, p: LayerParams, layers: int
 ) -> tuple[HiddenStates, list[Tape]]:
-    """`layers` forward passes with shared parameters."""
+    """`layers` (an integer >= 0) forward passes with shared parameters."""
     tapes = []
     cur = h
-    for _ in range(layers):
+    for _ in range(_integer(layers, "layers", 0)):
         cur, tape = lrbp_forward(cur, g, p)
         tapes.append(tape)
     return cur, tapes
@@ -256,73 +260,6 @@ def backward_stack(tapes: list[Tape], upstream: np.ndarray, grads: dict[str, np.
     for tape in reversed(tapes):
         upstream = lrbp_backward(tape, upstream, grads)
     return upstream
-
-
-@dataclass
-class GradCheckResult:
-    max_relative_error: float
-    worst_param: str | None
-    checked: int
-    skipped: int
-
-
-def grad_check(
-    g: FactorGraph,
-    p: LayerParams,
-    seed: int = 0,
-    eps: float = 1e-5,
-    layers: int = 3,
-) -> GradCheckResult:
-    """Compare hand-derived gradients against central finite differences.
-
-    Loss is the sum of squared output states after `layers` stacked layers
-    on seeded random inputs. A parameter coordinate is skipped when its
-    +/-eps perturbations land on different sides of a ReLU kink (the
-    activation masks of the two evaluations differ), where the central
-    difference is invalid.
-
-    The loss difference is formed from the two output arrays o+ and o-, as
-    sum((o+ - o-) * (o+ + o-)) / (2 eps), which equals the difference of the
-    two summed losses but does not cancel two large sums against each other.
-    `worst_param` is named as `mlp/w1[<C-order index>]`, or in a slot array
-    as `slot/w_in[<slot id>][<C-order index in that slot's matrix>]`.
-    """
-    rng = np.random.default_rng(seed)
-    h0 = HiddenStates(rng.standard_normal((g.num_vars, p.d_h)))
-
-    def output_and_masks():
-        out, tapes = forward_stack(h0, g, p, layers)
-        return out.values, [t.z > 0 for t in tapes]
-
-    h_t, tapes = forward_stack(h0, g, p, layers)
-    grads = {name: np.zeros_like(arr) for name, arr in p.arrays.items()}
-    backward_stack(tapes, 2.0 * h_t.values, grads)
-
-    worst = 0.0
-    worst_name = None
-    checked = 0
-    skipped = 0
-    for name, arr in p.arrays.items():
-        # perturb the array itself (ravel() copies a non-C-contiguous one)
-        for flat, idx in enumerate(np.ndindex(arr.shape)):
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            out_p, masks_p = output_and_masks()
-            arr[idx] = orig - eps
-            out_m, masks_m = output_and_masks()
-            arr[idx] = orig
-            if any(not np.array_equal(mp, mm) for mp, mm in zip(masks_p, masks_m)):
-                skipped += 1
-                continue
-            numeric = float(np.sum((out_p - out_m) * (out_p + out_m))) / (2.0 * eps)
-            analytic = grads[name][idx]
-            rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-3)
-            checked += 1
-            if rel > worst:
-                worst = rel
-                worst_name = (f"{name}[{p.slot_ids[idx[0]]}][{flat % (p.d_h * p.rank)}]"
-                              if name.startswith("slot/") else f"{name}[{flat}]")
-    return GradCheckResult(worst, worst_name, checked, skipped)
 
 
 def node_mean(values: np.ndarray) -> np.ndarray:
@@ -364,19 +301,16 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     t = state.step + 1
     new, m, v = {}, {}, {}
     for k, arr in named.items():
         gk = grads[k]
-        m[k] = beta1 * state.m[k] + (1.0 - beta1) * gk
-        v[k] = beta2 * state.v[k] + (1.0 - beta2) * gk * gk
-        m_hat = m[k] / (1.0 - beta1**t)
-        v_hat = v[k] / (1.0 - beta2**t)
-        new[k] = arr - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m[k] = BETA1 * state.m[k] + (1.0 - BETA1) * gk
+        v[k] = BETA2 * state.v[k] + (1.0 - BETA2) * gk * gk
+        m_hat = m[k] / (1.0 - BETA1**t)
+        v_hat = v[k] / (1.0 - BETA2**t)
+        new[k] = arr - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new, AdamState(t, m, v)
 
 
@@ -406,7 +340,7 @@ def train_step(
     grads = {k: np.zeros_like(a) for k, a in named.items()}
     total_loss = 0.0
     for g, h0, target in batch:
-        target = np.atleast_1d(np.asarray(target, dtype=np.float64))
+        target = np.atleast_1d(_float_array(target, "target", copy=False))
         try:
             h_t, tapes = forward_stack(h0, g, p, layers)
         except FloatingPointError:
@@ -453,11 +387,11 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
 
     A missing or malformed entry raises ValueError naming it (a field by its
     key, an array by its named_arrays name, a moment as optimizer/<m|v>/<name>),
-    and so does a d_h, rank or optimizer/step that is not an integer (2.5,
-    true), an array or moment whose shape disagrees with the slot count,
-    d_h, rank, the MLP width (the length of mlp/b1) or the readout width (the
-    length of readout/b), and a slot id that the list repeats. A checkpoint with
-    one array per slot lacks slot/w_in."""
+    and so does a d_h, rank, optimizer/step, array or moment outside the input
+    contract of `lrbp.tensors`, an array or moment whose shape disagrees with
+    the slot count, d_h, rank, the MLP width (the length of mlp/b1) or the
+    readout width (the length of readout/b), and a slot id that the list
+    repeats. A checkpoint with one array per slot lacks slot/w_in."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -470,7 +404,7 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
             raise ValueError(f"checkpoint field {prefix}{key}: {exc}") from exc
 
     def arr(x):
-        return np.asarray(x, dtype=np.float64)
+        return _float_array(x, "value", copy=False)
 
     def ids(x):
         if not isinstance(x, list) or not all(isinstance(sid, str) for sid in x):

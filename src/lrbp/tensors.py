@@ -1,6 +1,14 @@
 """Low-rank (CP) factors, the expansion of a CP factor to its dense table,
-and the leave-one-out product kernel that LBP and the neural layer share,
-with its derivative for the neural layer's backward.
+the leave-one-out product kernel that LBP and the neural layer share, with
+its derivative for the neural layer's backward, and the input contract.
+
+The input contract holds for every size and real array that lrbp takes from
+a caller or a file. A size is a Python or NumPy integer, not a bool, and is
+stored as `int` (`_integer`). An array must have dtype kind f, i or u, and is
+stored as C-contiguous float64 (`_float_array`): strings, bools, None and
+complex values are refused, not converted (NumPy reads a bool among numbers
+as a number, though). A refusal is a ValueError naming the field, raised by
+`lrbp.graph` as a GraphError.
 
 Both kernels take the product along axis 0, the slot axis of the callers'
 slot-major gathers, and share one prefix/suffix scan over its contiguous
@@ -35,8 +43,9 @@ class CPFactor:
     weights is one (arity, d, R) array; weights[j] is the d x R matrix of
     slot j, whose column r holds the r-th rank-1 component's vector for that
     slot. The constructor takes any array-like of that shape, such as a
-    sequence of `arity` d x R matrices, and keeps its own C-contiguous,
-    read-only float64 copy.
+    sequence of `arity` d x R matrices, and keeps its own read-only copy.
+    Sizes and weights follow the input contract of the module docstring;
+    arity and rank must be >= 1 and cardinality >= 2.
     """
 
     arity: int
@@ -45,12 +54,8 @@ class CPFactor:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        if self.cardinality < 2:
-            raise ValueError(f"cardinality must be >= 2, got {self.cardinality}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        for name, minimum in (("arity", 1), ("cardinality", 2), ("rank", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
         want = (self.arity, self.cardinality, self.rank)
         expected = f"expected shape {want}: {self.arity} weight matrices of shape {want[1:]}"
         try:
@@ -63,12 +68,22 @@ class CPFactor:
         object.__setattr__(self, "weights", w)
 
 
+def _integer(value, field: str, minimum: int | None = None, error: type = ValueError) -> int:
+    """`value` as an int under the input contract, of at least `minimum` if
+    that is given; otherwise `error` naming `field`."""
+    if type(value) is not int:  # an int is the usual case, and the cheapest check
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{field} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise error(f"{field} must be >= {minimum}, got {value}")
+    return value
+
+
 def _float_array(x, field: str, copy: bool = True) -> np.ndarray:
-    """`x` as a C-contiguous float64 array: a new one, or with copy=False `x`
-    itself when it already is one. Raises ValueError naming `field` unless
-    NumPy reads `x` as one array of real numbers (dtype kind f, i or u), so
-    that strings, bools, None and complex values are refused rather than
-    converted."""
+    """`x` as a C-contiguous float64 array under the input contract: a new
+    one, or with copy=False `x` itself when it already is one; otherwise
+    ValueError naming `field`."""
     try:
         a = np.array(x) if copy else np.asarray(x)
     except (TypeError, ValueError) as exc:

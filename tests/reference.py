@@ -1,4 +1,5 @@
-"""The one-message LBP reference that the tests compare `run_lbp` against.
+"""The one-message LBP reference that the tests compare `run_lbp` against,
+and the finite-difference check of the neural layer's backward.
 
 Messages live in dicts keyed (var, factor) and (factor, var), and each update
 computes one message: variable-to-factor by a direct product, dense
@@ -6,6 +7,10 @@ factor-to-variable by `marginalize_product` over the full table, low-rank
 factor-to-variable by the kernel `run_lbp` batches. Every variable's factors
 come from the factor scopes, not from `g.layout`, so the reference shares no
 index structure with the engine it checks.
+
+`grad_check` compares `lrbp.neural`'s hand-derived gradients against central
+differences of its forward pass. It looks the stack up in `lrbp.neural` on
+each call, so a test that patches a function there reaches it.
 """
 from __future__ import annotations
 
@@ -14,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lrbp import neural
 from lrbp.engine import NEGATIVE_TOL, SignViolationWarning, _lowrank_messages, _normalize
 from lrbp.graph import FactorGraph, factor_cp, factor_table
+from lrbp.neural import HiddenStates, LayerParams
 
 
 @dataclass
@@ -122,3 +129,70 @@ def marginalize_product(arr: np.ndarray, incoming, keep: int) -> np.ndarray:
     if not axes:
         return acc.copy()
     return acc.sum(axis=axes)
+
+
+@dataclass
+class GradCheckResult:
+    max_relative_error: float
+    worst_param: str | None
+    checked: int
+    skipped: int
+
+
+def grad_check(
+    g: FactorGraph,
+    p: LayerParams,
+    seed: int = 0,
+    eps: float = 1e-5,
+    layers: int = 3,
+) -> GradCheckResult:
+    """Compare hand-derived gradients against central finite differences.
+
+    Loss is the sum of squared output states after `layers` stacked layers
+    on seeded random inputs. A parameter coordinate is skipped when its
+    +/-eps perturbations land on different sides of a ReLU kink (the
+    activation masks of the two evaluations differ), where the central
+    difference is invalid.
+
+    The loss difference is formed from the two output arrays o+ and o-, as
+    sum((o+ - o-) * (o+ + o-)) / (2 eps), which equals the difference of the
+    two summed losses but does not cancel two large sums against each other.
+    `worst_param` is named as `mlp/w1[<C-order index>]`, or in a slot array
+    as `slot/w_in[<slot id>][<C-order index in that slot's matrix>]`.
+    """
+    rng = np.random.default_rng(seed)
+    h0 = HiddenStates(rng.standard_normal((g.num_vars, p.d_h)))
+
+    def output_and_masks():
+        out, tapes = neural.forward_stack(h0, g, p, layers)
+        return out.values, [t.z > 0 for t in tapes]
+
+    h_t, tapes = neural.forward_stack(h0, g, p, layers)
+    grads = {name: np.zeros_like(arr) for name, arr in p.arrays.items()}
+    neural.backward_stack(tapes, 2.0 * h_t.values, grads)
+
+    worst = 0.0
+    worst_name = None
+    checked = 0
+    skipped = 0
+    for name, arr in p.arrays.items():
+        # perturb the array itself (ravel() copies a non-C-contiguous one)
+        for flat, idx in enumerate(np.ndindex(arr.shape)):
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            out_p, masks_p = output_and_masks()
+            arr[idx] = orig - eps
+            out_m, masks_m = output_and_masks()
+            arr[idx] = orig
+            if any(not np.array_equal(mp, mm) for mp, mm in zip(masks_p, masks_m)):
+                skipped += 1
+                continue
+            numeric = float(np.sum((out_p - out_m) * (out_p + out_m))) / (2.0 * eps)
+            analytic = grads[name][idx]
+            rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-3)
+            checked += 1
+            if rel > worst:
+                worst = rel
+                worst_name = (f"{name}[{p.slot_ids[idx[0]]}][{flat % (p.d_h * p.rank)}]"
+                              if name.startswith("slot/") else f"{name}[{flat}]")
+    return GradCheckResult(worst, worst_name, checked, skipped)

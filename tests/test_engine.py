@@ -394,6 +394,10 @@ class TestRunLBP:
             run_lbp(g, LBPOptions(damping=1.0))
         with pytest.raises(ValueError, match="max_iters must be >= 0, got -3"):
             run_lbp(g, LBPOptions(max_iters=-3))
+        # refused, not truncated by range() or counted as 1 iteration
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"max_iters must be an integer, got {bad}"):
+                run_lbp(g, LBPOptions(max_iters=bad))
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_normalize_matches_numpy_sum(self, d):

@@ -128,6 +128,8 @@ class TestBuildGraph:
         (True, 2, "num_vars must be an integer, got True"),
         (-1, 2, "num_vars must be >= 0, got -1"),
         (2, 1, "cardinality must be >= 2, got 1"),
+        ("2", 2, "num_vars must be an integer, got '2'"),
+        (2, None, "cardinality must be an integer, got None"),
     ])
     def test_sizes_rejected(self, num_vars, cardinality, match):
         with pytest.raises(GraphError, match=match):
@@ -335,6 +337,16 @@ class TestGraphFile:
         save_graph(load_graph(p1), p2)
         assert p1.read_text() == p2.read_text()
 
+    def test_numpy_integer_sizes_round_trip(self, tmp_path):
+        # a CP factor stores its sizes as Python ints, which JSON can write
+        cp = CPFactor(2, np.int64(3), np.int32(2), np.ones((2, 3, 2)))
+        g = build_graph(2, 3, [FactorBinding((0, 1), LowRankPayload("p"))], params={"p": cp})
+        path = tmp_path / "graph.json"
+        save_graph(g, path)
+        got = load_graph(path).params["p"]
+        assert (got.arity, got.cardinality, got.rank) == (2, 3, 2)
+        assert same_bits(got.weights, cp.weights)
+
     def test_missing_field_reported(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"num_vars": 2}))
@@ -381,6 +393,7 @@ class TestGraphFile:
         ("cardinality", True, "cardinality must be an integer"),
         ("factors/0/scope", [0.4, 1.6], "factor 0: scope entry must be an integer"),
         ("factors/0/scope", [0, True], "factor 0: scope entry must be an integer"),
+        ("params/p/arity", 2.0, "param 'p': arity must be an integer, got 2.0"),
         ("params/p/d", 2.5, "param 'p': d must be an integer"),
         ("params/p/rank", True, "param 'p': rank must be an integer"),
         ("factors/1/payload/shape", [2.7], "factor 1: shape entry must be an integer"),

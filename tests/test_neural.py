@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from lrbp import neural
 from lrbp.engine import _lowrank_messages
-from lrbp.graph import FactorBinding, LowRankPayload, build_graph, factor_cp, factor_slots
+from lrbp.graph import (
+    FactorBinding,
+    GraphError,
+    LowRankPayload,
+    build_graph,
+    factor_cp,
+    factor_slots,
+)
 from lrbp.neural import (
     HiddenStates,
     LayerParams,
@@ -16,7 +23,6 @@ from lrbp.neural import (
     adam_step,
     backward_stack,
     forward_stack,
-    grad_check,
     graph_slot_ids,
     init_layer_params,
     load_checkpoint,
@@ -29,6 +35,7 @@ from lrbp.neural import (
     train_step,
 )
 from lrbp.tensors import cp_random
+from reference import grad_check
 
 
 def lowrank_graph(num_vars, scopes, slot_lists=None, d=2, rank=2, seed=0):
@@ -131,6 +138,16 @@ class TestForward:
         g = lowrank_graph(2, [(0, 1)], slot_lists=[("a", "a")])
         with pytest.raises(ValueError, match="factor 0: unmapped slot id 'a'"):
             lrbp_forward(h, g, init_layer_params(["a\x00"], d_h=2, rank=2))
+
+    @pytest.mark.parametrize("values", [
+        [["1.5", "2"], ["0", "1"]],
+        [[True, False], [False, True]],
+        [[None, 1.0], [1.0, 1.0]],
+        [[1j, 0.0], [0.0, 0.0]],
+    ], ids=["strings", "bools", "none", "complex"])
+    def test_states_must_be_real_numbers(self, values):
+        with pytest.raises(ValueError, match="hidden states must be real numbers"):
+            HiddenStates(np.array(values))
 
     def test_non_finite_input_rejected(self):
         g = lowrank_graph(2, [(0, 1)])
@@ -494,8 +511,9 @@ class TestInit:
         (dict(d_mlp=4.0), "d_mlp must be an integer, got 4.0"),
     ])
     def test_sizes_must_be_positive_integers(self, size, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as exc:
             init_layer_params(["a"], **{"d_h": 3, "rank": 2, **size})
+        assert not isinstance(exc.value, GraphError)  # no graph is involved
 
     def test_sizes_stored_as_python_ints(self):
         p = init_layer_params(["a"], d_h=np.int64(3), rank=np.int32(2), out_dim=np.int64(2))
@@ -663,6 +681,16 @@ class TestTrainStep:
         assert new_p is p and new_opt is opt and opt.step == 0
         assert all(np.all(a == 0) for a in opt.m.values())
 
+    @pytest.mark.parametrize("layers, match", [
+        (-1, "layers must be >= 0, got -1"),
+        (2.5, "layers must be an integer, got 2.5"),
+        (True, "layers must be an integer, got True"),
+    ])
+    def test_layers_must_be_an_integer_at_least_0(self, layers, match):
+        g, p, h0 = self.make_sample()
+        with pytest.raises(ValueError, match=match):
+            train_step([(g, h0, np.array([1.0]))], p, None, layers=layers)
+
     def test_empty_batch_rejected(self):
         _, p, _ = self.make_sample()
         with pytest.raises(ValueError, match="non-empty batch"):
@@ -762,6 +790,12 @@ class TestCheckpoint:
         ("rank", True, "field rank: value must be an integer, got True"),
         ("optimizer/step", 2.7, "field optimizer/step: value must be an integer, got 2.7"),
         ("optimizer/step", True, "field optimizer/step: value must be an integer, got True"),
+        # arrays hold numbers: strings, bools and null are refused, not converted
+        ("mlp/b2", ["1.5"] * 3, "field mlp/b2: value must be real numbers"),
+        ("mlp/b2", [True] * 3, "field mlp/b2: value must be real numbers"),
+        ("mlp/b2", [None] * 3, "field mlp/b2: value must be real numbers"),
+        ("mlp/b2", [1.0, None, 1.0], "field mlp/b2: value must be real numbers"),
+        ("optimizer/v/readout/b", ["0"], "field optimizer/v/readout/b: value must be real numbers"),
     ])
     def test_malformed_checkpoint_reported(self, tmp_path, name, value, match):
         p = init_layer_params(["a", "b"], d_h=3, rank=2, d_mlp=4, seed=0)

@@ -60,6 +60,22 @@ class TestCPFactorValidation:
         with pytest.raises(ValueError, match="cardinality"):
             CPFactor(1, 1, 1, (np.ones((1, 1)),))
 
+    # sizes are integers, not bools or floats, whatever the weights' shape
+    @pytest.mark.parametrize("sizes, match", [
+        ((True, 2, 1), "arity must be an integer, got True"),
+        ((2.0, 2, 1), "arity must be an integer, got 2.0"),
+        ((2, 2, np.float64(1.0)), "rank must be an integer, got "),  # repr varies by NumPy
+        ((2, np.True_, 1), "cardinality must be an integer, got "),
+    ])
+    def test_sizes_must_be_integers(self, sizes, match):
+        with pytest.raises(ValueError, match=match):
+            CPFactor(*sizes, np.ones(tuple(int(s) for s in sizes)))
+
+    def test_sizes_stored_as_python_ints(self):
+        cp = CPFactor(np.int64(2), np.int32(3), np.uint8(2), np.ones((2, 3, 2)))
+        assert [type(s) for s in (cp.arity, cp.cardinality, cp.rank)] == [int] * 3
+        assert (cp.arity, cp.cardinality, cp.rank) == (2, 3, 2)
+
 
 class TestCPExpand:
     def test_basis_outer_product(self):
