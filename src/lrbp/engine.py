@@ -186,12 +186,11 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
 
     lay, d = g.layout, g.cardinality
     var, fac = lay.var, lay.fac
-    unary = g.unary if g.unary is not None else np.ones((g.num_vars, d))
     # the gathers each half-sweep reads and the raw messages it writes, both
     # in its own message order; every bucket and block views its slice of both
     into_buckets, raw_v2f = np.empty((var.size, d)), np.empty((var.size, d))
     into_blocks, raw_f2v = np.empty((var.size, d)), np.empty((var.size, d))
-    buckets = [(vs, unary[vs], *views) for (vs, _), views
+    buckets = [(vs, g.unary[vs], *views) for (vs, _), views
                in zip(lay.buckets, _views(lay.buckets, into_buckets, raw_v2f))]
     blocks = _views(lay.lowrank + lay.dense, into_blocks, raw_f2v)
     lowrank = [(w, *views) for w, views in zip(g.cp_blocks, blocks)]
@@ -242,7 +241,7 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
             trace.append((iteration, delta))
             if delta < opts.tol:
                 break
-        beliefs = unary.copy()
+        beliefs = g.unary.copy()
         np.take(f2v, lay.to_buckets, axis=0, out=into_buckets, mode="clip")
         for vs, _, incoming, _ in buckets:
             beliefs[vs] *= incoming.prod(axis=0)

@@ -3,12 +3,8 @@
 Factor scopes are ordered: the k-th scope position binds weights[k] of a
 low-rank payload. Low-rank payloads live in a read-only parameter table keyed
 by id and may be shared across factors. Graphs are immutable after build and
-safe for concurrent read: a graph holds read-only copies of its unary and CP
-weights. A dense payload holds its table as one read-only (d,) * arity
-float64 array. That is a read-only view of the caller's array when it is
-already C-contiguous float64, since a copy would double a large table's
-memory, so such an array must not be written after construction; any other
-input is copied.
+safe for concurrent read: a graph holds read-only copies of its unary, its CP
+weights and its dense tables.
 
 Edge order: factor a's edges follow all edges of factors 0..a-1, one per slot
 in scope order; its k-th edge joins it to variable scope[k]. The neural layer
@@ -34,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .tensors import CAPACITY, CapacityError, CPFactor, _float_array, _integer, cp_expand
+from .tensors import CPFactor, _check_capacity, _float_array, _integer, cp_expand
 
 
 class GraphError(ValueError):
@@ -43,16 +39,13 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True, eq=False)  # identity equality: the field holds an array
 class DensePayload:
-    """An explicit potential table, a read-only float64 array that may view
-    the caller's array (see the module docstring). `build_graph` checks its
-    shape."""
+    """An explicit potential table, held as its own read-only C-contiguous
+    float64 copy of the caller's array. `build_graph` checks its shape."""
 
     table: np.ndarray
 
     def __post_init__(self):
-        table = _float_array(self.table, "table", copy=False).view()
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _read_only(_float_array(self.table, "table")))
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,7 @@ class FactorGraph:
     cardinality: int
     factors: tuple[FactorBinding, ...]
     params: Mapping[str, CPFactor]  # read-only
-    unary: np.ndarray | None  # read-only (num_vars, d), or None (treated as all-ones)
+    unary: np.ndarray  # read-only (num_vars, d); all ones when the caller gave none
     layout: EdgeLayout
 
     @cached_property
@@ -253,16 +246,20 @@ def build_graph(
     """Validate bindings and freeze the graph, with its edge layout.
 
     Factor ordering is preserved from the input. The graph keeps a read-only
-    copy of `unary` and a read-only view of a copy of `params`, so later
-    changes to the caller's objects do not reach it. Raises GraphError for a
-    num_vars or cardinality that is not an integer, or below 0 and 2, for a
-    unary that is not a (num_vars, cardinality) array of numbers, and, with
-    the offending factor index, for out-of-range variables, duplicate
-    variables in one scope, or payload shape mismatches.
+    copy of `unary`, all ones when it is None, and a read-only view of a copy
+    of `params`, so later changes to the caller's objects do not reach it.
+    Raises GraphError for a num_vars or cardinality that is not an integer,
+    or below 0 and 2, for a unary that is not a (num_vars, cardinality) array
+    of numbers, for a params value that is not a CPFactor, naming its id,
+    and, with the offending factor index, for out-of-range variables,
+    duplicate variables in one scope, or payload shape mismatches.
     """
     num_vars = _integer(num_vars, "num_vars", 0, error=GraphError)
     cardinality = _integer(cardinality, "cardinality", 2, error=GraphError)
     params = MappingProxyType(dict(params) if params else {})
+    for pid, cp in params.items():
+        if not isinstance(cp, CPFactor):
+            raise GraphError(f"param {pid!r}: expected a CPFactor, got {type(cp).__name__}")
     bindings = tuple(bindings)
 
     # what the layout reads: each factor's arity and CP rank (0 for a dense
@@ -303,24 +300,19 @@ def build_graph(
         arity.append(len(scope))
         var.extend(scope)
 
-    unary_arr = None
-    if unary is not None:
-        try:
-            unary_arr = _float_array(unary, "unary")
-        except ValueError as exc:
-            raise GraphError(str(exc)) from exc
-        if unary_arr.shape != (num_vars, cardinality):
-            raise GraphError(
-                f"unary has shape {unary_arr.shape}, expected {(num_vars, cardinality)}"
-            )
-        _read_only(unary_arr)
+    try:
+        unary = _float_array(np.ones((num_vars, cardinality)) if unary is None else unary, "unary")
+    except ValueError as exc:
+        raise GraphError(str(exc)) from exc
+    if unary.shape != (num_vars, cardinality):
+        raise GraphError(f"unary has shape {unary.shape}, expected {(num_vars, cardinality)}")
 
     return FactorGraph(
         num_vars=num_vars,
         cardinality=cardinality,
         factors=bindings,
         params=params,
-        unary=unary_arr,
+        unary=_read_only(unary),
         layout=_edge_layout(num_vars, np.array(arity, dtype=np.intp),
                             np.array(var, dtype=np.intp), np.array(rank, dtype=np.intp)),
     )
@@ -350,17 +342,11 @@ def joint_table(g: FactorGraph) -> tuple[np.ndarray, float]:
     Raises CapacityError past CAPACITY elements and GraphError when Z == 0.
     """
     d, n = g.cardinality, g.num_vars
-    n_elements = d**n
-    if n_elements > CAPACITY:
-        raise CapacityError(
-            f"joint table over {n} variables with d={d} needs {n_elements} elements, "
-            f"capacity is {CAPACITY}"
-        )
+    _check_capacity(d, n, f"joint table over {n} variables")
     # a plain product, not np.einsum, which turns a -0.0 product into +0.0
     joint = np.ones((d,) * n)
-    if g.unary is not None:
-        for i in range(n):
-            joint = joint * _on_axes(g.unary[i], (i,), n)
+    for i in range(n):
+        joint = joint * _on_axes(g.unary[i], (i,), n)
     for a, binding in enumerate(g.factors):
         joint = joint * _on_axes(factor_table(g, a), binding.scope, n)
     z = float(joint.sum())
@@ -390,14 +376,16 @@ def _payload_to_json(binding: FactorBinding) -> dict:
 def save_graph(g: FactorGraph, path) -> None:
     """Write the graph as a single JSON document; round-trip is value-exact.
 
-    The optional per-factor "slots" field is an extension carrying slot ids
-    for the neural layer; readers that only know the base format can ignore
-    it, and absent means null.
+    The unary is always written, as ones for a graph built without one;
+    `load_graph` still reads an absent or null "unary" as ones. The optional
+    per-factor "slots" field is an extension carrying slot ids for the neural
+    layer; readers that only know the base format can ignore it, and absent
+    means null.
     """
     doc = {
         "num_vars": g.num_vars,
         "cardinality": g.cardinality,
-        "unary": g.unary.tolist() if g.unary is not None else None,
+        "unary": g.unary.tolist(),
         "factors": [
             {
                 "scope": list(b.scope),
@@ -432,9 +420,9 @@ def load_graph(path) -> FactorGraph:
     try:
         num_vars, cardinality = doc["num_vars"], doc["cardinality"]  # build_graph checks them
         raw_factors = doc["factors"]
-        raw_params = doc.get("params") or {}
     except KeyError as exc:
         raise GraphError(f"graph file missing required field: {exc}") from exc
+    raw_params = {} if doc.get("params") is None else doc["params"]
     if not isinstance(raw_factors, list) or not isinstance(raw_params, dict):
         raise GraphError("graph file: factors must be a list and params an object")
 

@@ -19,8 +19,8 @@ A dense table is a plain (d,) * m float64 array holding every entry of an
 order-m potential; a CP factor stores one (m, d, R) weight array W and
 represents the table T(i_1..i_m) = sum_r prod_j W[j, i_j, r]. Rank-1 scale
 coefficients are always absorbed into the weights, so there is no separate
-scale vector. A CP factor owns its weights: it copies them once and marks the
-copy read-only.
+scale vector. A CP factor owns its weights, as a graph owns every array it
+holds: it copies them once and marks the copy read-only.
 """
 from __future__ import annotations
 
@@ -30,10 +30,18 @@ import numpy as np
 
 # the most elements a dense expansion or enumeration may hold
 CAPACITY = 10_000_000
+# the sizes of a CP factor, each with its least value
+_CP_SIZES = (("arity", 1), ("cardinality", 2), ("rank", 1))
 
 
 class CapacityError(Exception):
     """A dense expansion or enumeration would exceed CAPACITY elements."""
+
+
+def _check_capacity(d: int, n: int, what: str) -> None:
+    """CapacityError when `what`, a (d,) * n array, would exceed CAPACITY elements."""
+    if d**n > CAPACITY:
+        raise CapacityError(f"{what} with d={d} needs {d**n} elements, capacity is {CAPACITY}")
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
@@ -54,7 +62,7 @@ class CPFactor:
     weights: np.ndarray
 
     def __post_init__(self):
-        for name, minimum in (("arity", 1), ("cardinality", 2), ("rank", 1)):
+        for name, minimum in _CP_SIZES:
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
         want = (self.arity, self.cardinality, self.rank)
         expected = f"expected shape {want}: {self.arity} weight matrices of shape {want[1:]}"
@@ -82,15 +90,16 @@ def _integer(value, field: str, minimum: int | None = None, error: type = ValueE
 
 def _float_array(x, field: str, copy: bool = True) -> np.ndarray:
     """`x` as a C-contiguous float64 array under the input contract: a new
-    one, or with copy=False `x` itself when it already is one; otherwise
-    ValueError naming `field`."""
+    one, made by at most one copy of x, or with copy=False `x` itself when it
+    already is one; otherwise ValueError naming `field`."""
     try:
-        a = np.array(x) if copy else np.asarray(x)
+        a = np.asarray(x)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: not one array ({exc})") from None
     if a.dtype.kind not in "fiu":
         raise ValueError(f"{field} must be real numbers, got dtype {a.dtype}")
-    return a.astype(np.float64, order="C", copy=False)
+    # NumPy builds a new array from a list or tuple; any other x may share its memory
+    return a.astype(np.float64, order="C", copy=copy and not isinstance(x, (list, tuple)))
 
 
 def cp_expand(f: CPFactor) -> np.ndarray:
@@ -100,12 +109,7 @@ def cp_expand(f: CPFactor) -> np.ndarray:
     floating-point accumulation. Raises CapacityError when d**arity
     exceeds CAPACITY.
     """
-    n_elements = f.cardinality**f.arity
-    if n_elements > CAPACITY:
-        raise CapacityError(
-            f"expansion of arity-{f.arity} factor with d={f.cardinality} needs "
-            f"{n_elements} elements, capacity is {CAPACITY}"
-        )
+    _check_capacity(f.cardinality, f.arity, f"expansion of arity-{f.arity} factor")
     # column-wise Kronecker product of the slot matrices, the first varying slowest
     rows = f.weights[0]
     for w in f.weights[1:]:
@@ -113,18 +117,15 @@ def cp_expand(f: CPFactor) -> np.ndarray:
     return rows.sum(axis=1).reshape((f.cardinality,) * f.arity)
 
 
-def cp_random(arity: int, d: int, rank: int, seed: int, scale: float = 1.0) -> CPFactor:
-    """Seeded random CP factor with entries i.i.d. uniform on [0, scale].
+def cp_random(arity: int, d: int, rank: int, seed: int) -> CPFactor:
+    """Seeded random CP factor with entries i.i.d. uniform on [0, 1].
 
     Nonnegative weights, so the expanded table is a valid potential.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. The sizes are checked as `CPFactor`
+    checks them, before the draw.
     """
-    if arity < 1 or d < 2 or rank < 1:
-        raise ValueError(f"invalid CP shape: arity={arity}, d={d}, rank={rank}")
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    rng = np.random.default_rng(seed)
-    return CPFactor(arity, d, rank, rng.uniform(0.0, scale, size=(arity, d, rank)))
+    sizes = [_integer(v, name, minimum) for v, (name, minimum) in zip((arity, d, rank), _CP_SIZES)]
+    return CPFactor(*sizes, np.random.default_rng(seed).uniform(size=sizes))
 
 
 def _scan(x: np.ndarray, mul) -> np.ndarray:

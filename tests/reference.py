@@ -50,12 +50,11 @@ def init_messages(g: FactorGraph) -> MessageState:
 def var_to_factor_update(state: MessageState, g: FactorGraph, i: int, a: int) -> np.ndarray:
     """Product of incoming factor messages excluding `a`, times the unary.
 
-    Normalized; with no other neighbours this is the normalized unary
-    (uniform when the unary is absent).
+    Normalized; with no other neighbours this is the normalized unary.
     """
     if a not in state.var_factors[i]:
         raise ValueError(f"factor {a} is not adjacent to variable {i}")
-    prod = g.unary[i].copy() if g.unary is not None else np.ones(g.cardinality)
+    prod = g.unary[i].copy()
     for c in state.var_factors[i]:
         if c != a:
             prod = prod * state.factor_to_var[(c, i)]
@@ -92,7 +91,7 @@ def factor_to_var_lowrank(state: MessageState, g: FactorGraph, a: int, i: int) -
 
 def beliefs_from_messages(g: FactorGraph, state: MessageState) -> np.ndarray:
     """Per-variable beliefs: unary times all incoming factor messages."""
-    out = g.unary.copy() if g.unary is not None else np.ones((g.num_vars, g.cardinality))
+    out = g.unary.copy()
     for i in range(g.num_vars):
         for a in state.var_factors[i]:
             out[i] = out[i] * state.factor_to_var[(a, i)]

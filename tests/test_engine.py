@@ -54,9 +54,8 @@ def marginal_oracle(g, i):
     for state in itertools.product(range(g.cardinality), repeat=g.num_vars):
         assignment = dict(zip(reversed(range(g.num_vars)), state))
         term = 1.0
-        if g.unary is not None:
-            for v, x in assignment.items():
-                term *= g.unary[v][x]
+        for v, x in assignment.items():
+            term *= g.unary[v][x]
         for a, binding in enumerate(g.factors):
             term *= tables[a][tuple(assignment[v] for v in binding.scope)]
         p[assignment[i]] += term

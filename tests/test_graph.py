@@ -1,12 +1,13 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrbp.engine import run_lbp
+from lrbp.engine import exact_marginals, run_lbp
 from lrbp.graph import (
     DensePayload,
     FactorBinding,
@@ -25,9 +26,8 @@ def enumerate_z(g):
     z = 0.0
     for state in itertools.product(range(g.cardinality), repeat=g.num_vars):
         term = 1.0
-        if g.unary is not None:
-            for i, x in enumerate(state):
-                term *= g.unary[i][x]
+        for i, x in enumerate(state):
+            term *= g.unary[i][x]
         for a, binding in enumerate(g.factors):
             payload = binding.payload
             if isinstance(payload, DensePayload):
@@ -150,15 +150,57 @@ class TestBuildGraph:
             with pytest.raises(GraphError, match="unary must be real numbers"):
                 build_graph(1, 2, [], unary=[bad])
 
-    def test_dense_payload_views_float64_input(self):
-        # a C-contiguous float64 table is viewed, not copied; other input is copied
-        table = np.ones((2, 2))
-        assert np.shares_memory(DensePayload(table).table, table) and table.flags.writeable
-        for other in (np.ones((2, 2), dtype=np.int64), np.ones((2, 2), order="F")[:, ::-1]):
-            got = DensePayload(other).table
-            assert not np.shares_memory(got, other)
+    def test_dense_payload_owns_its_table(self):
+        # every input is copied, a C-contiguous float64 one too, and the
+        # caller's array stays writable
+        for table in (np.ones((2, 2)), np.ones((2, 2), dtype=np.int64),
+                      np.ones((2, 2), order="F")[:, ::-1], np.ones((2, 2), dtype=np.float32)):
+            got = DensePayload(table).table
+            assert not np.shares_memory(got, table) and table.flags.writeable
+            assert not got.flags.writeable
             assert got.dtype == np.float64 and got.flags.c_contiguous
         assert DensePayload([[1, 2], [3, 4]]).table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_dense_payload_copies_once(self):
+        # an array table is copied, or converted to float64, in one step
+        for table in (np.ones((4,) * 8), np.ones((4,) * 8, dtype=np.int64)):
+            tracemalloc.start()
+            try:
+                DensePayload(table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * table.nbytes
+
+    def test_missing_unary_is_ones(self, tmp_path):
+        # a graph built without a unary holds a read-only all-ones one, and
+        # solves, enumerates and saves exactly as with an explicit np.ones
+        rng = np.random.default_rng(9)
+        bindings = [FactorBinding((0, 1, 2), LowRankPayload("p")),
+                    FactorBinding((2, 3), DensePayload(rng.uniform(-1.0, 1.0, size=(3, 3))))]
+        params = {"p": cp_random(3, 3, 2, seed=9)}
+        g = build_graph(4, 3, bindings, params=params)
+        ones = build_graph(4, 3, bindings, unary=np.ones((4, 3)), params=params)
+        assert same_bits(g.unary, np.ones((4, 3))) and not g.unary.flags.writeable
+        assert run_lbp(g).beliefs.tobytes() == run_lbp(ones).beliefs.tobytes()
+        assert same_bits(joint_table(g)[0], joint_table(ones)[0])
+        assert joint_table(g)[1] == joint_table(ones)[1]
+        assert exact_marginals(g).beliefs.tobytes() == exact_marginals(ones).beliefs.tobytes()
+        path = tmp_path / "graph.json"
+        save_graph(g, path)
+        assert json.loads(path.read_text())["unary"] == np.ones((4, 3)).tolist()
+        assert same_bits(load_graph(path).unary, g.unary)
+
+    @pytest.mark.parametrize("value, referenced", [
+        ("p", True), (np.ones((2, 2, 1)), False), (None, False),
+    ])
+    def test_params_value_not_a_cp_factor_rejected(self, value, referenced):
+        bindings = [FactorBinding((0, 1), LowRankPayload("ok"))]
+        if referenced:
+            bindings.append(FactorBinding((0, 1), LowRankPayload("bad")))
+        match = f"param 'bad': expected a CPFactor, got {type(value).__name__}"
+        with pytest.raises(GraphError, match=match):
+            build_graph(2, 2, bindings, params={"ok": cp_random(2, 2, 1, seed=0), "bad": value})
 
     def test_lowrank_requires_known_param(self):
         with pytest.raises(GraphError, match="param_id"):
@@ -181,20 +223,23 @@ class TestBuildGraph:
         assert bucket_factors(g) == scope_factors(g)
 
     def test_graph_owns_its_inputs(self):
-        # build copies the unary, the params table and (through CPFactor) the
-        # weights, and exposes them read-only, so no write reaches a solve; a
-        # dense table is a read-only view, which the graph cannot write through
+        # build copies the unary, the params table and (through CPFactor and
+        # DensePayload) the weights and the dense table, and exposes them
+        # read-only, so no write to the caller's arrays reaches a solve
         rng = np.random.default_rng(6)
         unary, weights = rng.uniform(0.1, 1.0, size=(4, 3)), rng.uniform(0.1, 1.0, size=(3, 3, 2))
+        table = rng.uniform(size=(3, 3))
         params = {"p": CPFactor(3, 3, 2, weights)}
         g = build_graph(4, 3, [FactorBinding((0, 1, 2), LowRankPayload("p")),
-                               FactorBinding((2, 3), DensePayload(rng.uniform(size=(3, 3))))],
+                               FactorBinding((2, 3), DensePayload(table))],
                         unary=unary, params=params)
-        before = run_lbp(g).beliefs
+        before, (joint, z) = run_lbp(g).beliefs, joint_table(g)
         unary[:, 0] = 100.0
         weights[:, 0] = 100.0
+        table[:, 0] = 100.0
         params["p"] = cp_random(3, 3, 2, seed=6)
         assert run_lbp(g).beliefs.tobytes() == before.tobytes()
+        assert same_bits(joint_table(g)[0], joint) and joint_table(g)[1] == z
         with pytest.raises(TypeError):
             g.params["p"] = params["p"]
         with pytest.raises(ValueError, match="read-only"):
@@ -315,8 +360,7 @@ class TestGraphFile:
         save_graph(g, path)
         h = load_graph(path)
         assert (h.num_vars, h.cardinality) == (g.num_vars, g.cardinality)
-        assert (h.unary is None) == (g.unary is None)
-        assert g.unary is None or same_bits(h.unary, g.unary)
+        assert same_bits(h.unary, g.unary)
         assert len(h.factors) == len(g.factors)
         for fa, fb in zip(g.factors, h.factors):
             assert (fa.scope, fa.slot_ids, type(fa.payload)) == (fb.scope, fb.slot_ids, type(fb.payload))
@@ -346,6 +390,15 @@ class TestGraphFile:
         got = load_graph(path).params["p"]
         assert (got.arity, got.cardinality, got.rank) == (2, 3, 2)
         assert same_bits(got.weights, cp.weights)
+
+    def test_null_or_absent_unary_and_params_load_as_defaults(self, tmp_path):
+        dense = {"kind": "dense", "shape": [2, 2], "data": [1.0, 2.0, 3.0, 4.0]}
+        base = {"num_vars": 2, "cardinality": 2, "factors": [{"scope": [0, 1], "payload": dense}]}
+        path = tmp_path / "graph.json"
+        for extra in ({}, {"unary": None, "params": None}):
+            path.write_text(json.dumps({**base, **extra}))
+            g = load_graph(path)
+            assert same_bits(g.unary, np.ones((2, 2))) and dict(g.params) == {}
 
     def test_missing_field_reported(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -378,7 +431,12 @@ class TestGraphFile:
         ("factors/1", 5, "factor 1"),
         ("num_vars", None, "num_vars"),
         ("factors", 5, "factors must be a list"),
+        # only an absent or null params field means no params
         ("params", [1], "params an object"),
+        ("params", [], "params an object"),
+        ("params", 0, "params an object"),
+        ("params", "", "params an object"),
+        ("params", False, "params an object"),
         ("unary", [[1.0, "x"], [1.0, 1.0]], "unary"),
         # ragged, and of rank 2 where the spec says 1
         ("params/p/weights", [[[1.0], [1.0]], [[1.0]]], r"param 'p'.*expected shape \(2, 2, 1\)"),

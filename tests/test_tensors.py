@@ -125,21 +125,31 @@ class TestCPRandom:
         f = cp_random(3, 4, 8, seed=1)
         assert np.all(cp_expand(f) >= 0)
 
-    @pytest.mark.parametrize("arity, d, rank, seed, scale", [
-        (1, 2, 1, 0, 1.0), (3, 4, 8, 5, 1.0), (6, 3, 2, 123, 0.5), (2, 5, 16, 2**40, 3.0),
+    @pytest.mark.parametrize("arity, d, rank, seed", [
+        (1, 2, 1, 0), (3, 4, 8, 5), (6, 3, 2, 123), (2, 5, 16, 2**40),
     ])
-    def test_same_values_as_per_slot_draws(self, arity, d, rank, seed, scale):
+    def test_same_values_as_per_slot_draws(self, arity, d, rank, seed):
         # one (arity, d, R) draw equals arity successive (d, R) draws, so a
         # seeded cp_random factor keeps the values it had as per-slot draws
         rng = np.random.default_rng(seed)
-        slots = [rng.uniform(0.0, scale, size=(d, rank)) for _ in range(arity)]
-        assert np.array(slots).tobytes() == cp_random(arity, d, rank, seed, scale).weights.tobytes()
+        slots = [rng.uniform(0.0, 1.0, size=(d, rank)) for _ in range(arity)]
+        assert np.array(slots).tobytes() == cp_random(arity, d, rank, seed).weights.tobytes()
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            cp_random(0, 2, 1, seed=0)
-        with pytest.raises(ValueError):
-            cp_random(2, 2, 1, seed=0, scale=-1.0)
+    @pytest.mark.parametrize("arity, d, rank, match", [
+        (0, 2, 1, "arity must be >= 1, got 0"),
+        (2, 1, 1, "cardinality must be >= 2, got 1"),
+        (2, 2, 0, "rank must be >= 1, got 0"),
+        (2.5, 2, 1, "arity must be an integer, got 2.5"),
+        (True, 2, 1, "arity must be an integer, got True"),
+        (2, 2.0, 1, "cardinality must be an integer, got 2.0"),
+        (2, 2, "1", "rank must be an integer, got '1'"),
+    ])
+    def test_rejects_bad_parameters(self, arity, d, rank, match):
+        # the sizes are checked before the draw, as CPFactor checks them
+        with pytest.raises(ValueError, match=match):
+            cp_random(arity, d, rank, seed=0)
+        with pytest.raises(ValueError, match=match):
+            CPFactor(arity, d, rank, np.ones((2, 2, 1)))
 
 
 class TestMarginalizeProduct:
