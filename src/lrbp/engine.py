@@ -43,7 +43,7 @@ import numpy as np
 
 # No solve calls factor_cp; the alias stays because benchmarks/test_bench.py
 # checks that the benchmark's tracer wraps it here.
-from .graph import FactorGraph, factor_cp, joint_table  # noqa: F401
+from .graph import FactorGraph, _views, factor_cp, joint_table  # noqa: F401
 from .tensors import _integer, leave_one_out
 
 NEGATIVE_TOL = -1e-12
@@ -148,17 +148,6 @@ def _dense_messages(tables: list[np.ndarray], m: np.ndarray) -> np.ndarray:
             if k < n - 1:
                 acc = np.matmul(mc[k][:, None, :], acc)
     return out
-
-
-def _views(groups: tuple, *arrays: np.ndarray) -> list[list[np.ndarray]]:
-    """Per group, each (E, d) array's rows of the group's edge block, in a
-    message order that ravels the blocks in turn, as a slot-major view of
-    the block's shape plus (d,)."""
-    views, lo = [], 0
-    for _, e in groups:
-        views.append([x[lo:lo + e.size].reshape(*e.shape, x.shape[1]) for x in arrays])
-        lo += e.size
-    return views
 
 
 def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:

@@ -7,10 +7,10 @@ safe for concurrent read: a graph holds read-only copies of its unary, its CP
 weights and its dense tables.
 
 Edge order: factor a's edges follow all edges of factors 0..a-1, one per slot
-in scope order; its k-th edge joins it to variable scope[k]. The neural layer
-keeps one message per edge in this order; LBP keeps its two message families
-in the two orders of `EdgeLayout`, each the order in which its half-sweep
-writes them, and names edges by this one.
+in scope order; its k-th edge joins it to variable scope[k]. Both LBP and the
+neural layer name edges by this order, but keep their edge arrays in the
+order of the phase that writes them: the bucket and block orders of
+`EdgeLayout`, and the neural layer's slot order of `SlotIndex`.
 `build_graph` builds `FactorGraph.layout` with the graph, from the facts its
 validation reads: the edge arrays, the factor blocks that LBP and the neural
 layer batch their kernels over, the degree buckets, the graph's only
@@ -117,13 +117,21 @@ class FactorGraph:
         index: dict[str, int] = {}
         slot = np.array([index.setdefault(sid, len(index)) for a in range(len(self.factors))
                          for sid in factor_slots(self, a)], dtype=np.intp)
+        # a stable sort keeps each slot's edges in edge order
+        # item-major views of the slot-major blocks, for the batched matmul
+        groups = tuple((s, e.T) for s, e in
+                       _groups_by_size(np.bincount(slot), np.argsort(slot, kind="stable")))
+        lay, edges = self.layout, _raveled(groups)
+        rows = _positions(edges)
         return SlotIndex(
             ids=tuple(index),
             slot=_read_only(slot),
-            # a stable sort keeps each slot's edges in edge order
-            # item-major views of the slot-major blocks, for the batched matmul
-            groups=tuple((s, e.T) for s, e in
-                         _groups_by_size(np.bincount(slot), np.argsort(slot, kind="stable"))),
+            groups=groups,
+            edges=edges,
+            var=_read_only(lay.var[edges]),
+            to_blocks=_read_only(rows[lay.block_edges]),
+            from_blocks=_read_only(_positions(lay.block_edges)[edges]),
+            to_buckets=_read_only(rows[lay.bucket_edges]),
         )
 
 
@@ -161,11 +169,22 @@ class EdgeLayout:
 class SlotIndex:
     """The parameter slots of one graph's edges. Slots with the same edge
     count c form one group, so that the neural layer handles a group with one
-    batched matmul over (S_c, c, d_h) rows. Every array is read-only."""
+    batched matmul over (S_c, c, d_h) rows. Every array is read-only.
+
+    The neural layer keeps the arrays its matmuls write in slot order, the
+    groups' edge blocks raveled in turn, so that each group owns one slice of
+    rows, which reads as its (S_c, c) item-major block. It reaches the
+    layout's block and bucket orders through one gather each: `to_blocks`,
+    `from_blocks` and `to_buckets`."""
 
     ids: tuple[str, ...]  # (S,) slot ids in first-appearance order
     slot: np.ndarray  # (E,) index into `ids` of each edge's slot
     groups: tuple  # ((S_c,) slots, (S_c, c) edges) per edge count c, each row in edge order
+    edges: np.ndarray  # (E,) edge of each row in slot order
+    var: np.ndarray  # (E,) variable of each row in slot order
+    to_blocks: np.ndarray  # (E,) slot-order row of each block-order row
+    from_blocks: np.ndarray  # (E,) block-order row of each slot-order row
+    to_buckets: np.ndarray  # (E,) slot-order row of each bucket-order row
 
 
 def _edge_layout(num_vars: int, arity: np.ndarray, var: np.ndarray, rank: np.ndarray) -> EdgeLayout:
@@ -176,8 +195,10 @@ def _edge_layout(num_vars: int, arity: np.ndarray, var: np.ndarray, rank: np.nda
                              key=arity * (rank.max(initial=0) + 1) + rank)
     lowrank = tuple((ids, e) for ids, e in blocks if rank[ids[0]])
     dense = tuple((ids, e) for ids, e in blocks if not rank[ids[0]])
-    # a stable sort keeps each variable's edges in factor order
-    buckets = _groups_by_size(np.bincount(var, minlength=num_vars), np.argsort(var, kind="stable"))
+    # a stable sort keeps each variable's edges in factor order; NumPy radix
+    # sorts 16-bit keys, so a copy of that width sorts faster, to the same order
+    keys = var.astype(np.uint16) if num_vars <= 2 ** 16 else var
+    buckets = _groups_by_size(np.bincount(var, minlength=num_vars), np.argsort(keys, kind="stable"))
     bucket_edges, block_edges = _raveled(buckets), _raveled(lowrank + dense)
     return EdgeLayout(
         var=_read_only(var),
@@ -210,6 +231,17 @@ def _groups_by_size(sizes: np.ndarray, edges: np.ndarray, key: np.ndarray | None
 def _raveled(groups: tuple) -> np.ndarray:
     """The edge blocks of `groups` raveled in turn, as one read-only (E,) array."""
     return _read_only(np.concatenate([np.empty(0, np.intp), *(e.ravel() for _, e in groups)]))
+
+
+def _views(groups: tuple, *arrays: np.ndarray) -> list[list[np.ndarray]]:
+    """Per group, each (E, ...) array's rows of the group's edge block, in an
+    order that ravels the blocks in turn, as a view of the block's shape plus
+    the array's trailing axes."""
+    views, lo = [], 0
+    for _, e in groups:
+        views.append([x[lo:lo + e.size].reshape(*e.shape, *x.shape[1:]) for x in arrays])
+        lo += e.size
+    return views
 
 
 def _positions(order: np.ndarray) -> np.ndarray:

@@ -7,17 +7,22 @@ and adds the result to the previous state (residual connection). Each
 parameter slot carries a doubled pair of matrices: W_in transforms before the
 Hadamard product, W_out after.
 
-A layer runs on the graph's edge arrays (`g.layout`, in the edge order that
-`lrbp.graph` defines) and takes its groups from the graph, built once per
-graph: one batched matmul over the stacked slot matrices per group of slots
-with the same edge count (`g.slots.groups`), the shared
-`tensors.leave_one_out` kernel on the slot-major (n, F, R) gather of each of
-the layout's factor blocks (`lowrank` and `dense`, as LBP batches them), and
-each node sums its messages over axis 0 of its degree bucket's slot-major
-(D, V, d_h) gather. Graph slots bind to parameter rows by slot id. Its
-hand-derived backward takes the leave-two-out sums from
-`tensors.leave_one_out_tangent`, the same slab scan over dual numbers, never
-by division.
+A layer takes its groups from the graph, built once per graph: one batched
+matmul over the stacked slot matrices per group of slots with the same edge
+count (`g.slots.groups`), the shared `tensors.leave_one_out` kernel on the
+slot-major (n, F, R) rows of each of the layout's factor blocks (`lowrank`
+and `dense`, as LBP batches them), and each node sums its messages over axis
+0 of its degree bucket's slot-major (D, V, d_h) gather. It keeps each (E, .)
+edge array in the order of the phase that writes it, as LBP does: the
+matmuls' arrays in slot order (`lrbp.graph.SlotIndex`) and the leave-one-out
+kernels' in block order (`lrbp.graph.EdgeLayout`). So every group and block
+reads and writes one contiguous slice of rows, and each phase reaches the
+other order through one gather (`g.slots.to_blocks`, `from_blocks`,
+`to_buckets`). Errors still name edges in the edge order of `lrbp.graph`.
+Graph slots bind to parameter rows by slot id; a group whose rows form an
+ascending range reads them as a slice. Its hand-derived backward takes the
+leave-two-out sums from `tensors.leave_one_out_tangent`, the same slab scan
+over dual numbers, never by division.
 Parameters are read-only during a step; all update functions return fresh structures.
 
 A `LayerParams` holds its arrays in one table, keyed by name (see
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import FactorGraph
+from .graph import FactorGraph, _views
 from .tensors import _float_array, _integer, leave_one_out, leave_one_out_tangent
 
 # Adam's decay rates and denominator offset
@@ -141,12 +146,18 @@ class Tape:
     params: LayerParams
     h_in: np.ndarray
     graph: FactorGraph  # its layout and slots index the edge arrays below
-    rows: np.ndarray  # (S,): the row of params' slot arrays of each slot of graph.slots
-    u: np.ndarray  # (E, R): W_in^T h of each edge's node
-    loo: np.ndarray  # (E, R): Hadamard product of the other slots' u in its factor
+    rows: list  # per group of graph.slots.groups: its rows of params' slot arrays
+    u: np.ndarray  # (E, R) in block order: W_in^T h of each edge's node
+    loo: np.ndarray  # (E, R) in slot order: Hadamard product of the other slots' u in its factor
     agg: np.ndarray
     z: np.ndarray  # MLP pre-activations
-    r: np.ndarray  # relu(z)
+
+
+def _slot_rows(rows: np.ndarray):
+    """A group's rows of the slot arrays: a slice, which reads and adds in
+    place, when they form an ascending range, else the index array."""
+    lo = int(rows[0])
+    return slice(lo, lo + rows.size) if np.array_equal(rows, np.arange(lo, lo + rows.size)) else rows
 
 
 def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[HiddenStates, Tape]:
@@ -163,40 +174,42 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("non-finite input hidden states")
 
-    lay, w, sids = g.layout, p.arrays, g.slots.ids
-    # rows[k]: the row of p's slot arrays for g's slot k
+    lay, sl, w = g.layout, g.slots, p.arrays
     index = {sid: k for k, sid in enumerate(p.slot_ids)}
-    rows = np.array([index.get(sid, -1) for sid in sids], dtype=np.intp)
-    if np.any(rows < 0):  # sids are in first-appearance order, so the first bad edge is named
+    rows = np.array([index.get(sid, -1) for sid in sl.ids], dtype=np.intp)
+    if np.any(rows < 0):  # ids are in first-appearance order, so the first bad edge is named
         k = np.flatnonzero(rows < 0)[0]
-        raise ValueError(f"factor {lay.fac[g.slots.slot == k][0]}: unmapped slot id {sids[k]!r}")
-    var = lay.var
-    u = np.empty((var.size, p.rank))
-    loo = np.empty_like(u)
-    msg = np.empty((var.size, p.d_h))
+        raise ValueError(f"factor {lay.fac[sl.slot == k][0]}: unmapped slot id {sl.ids[k]!r}")
+    rows = [_slot_rows(rows[s]) for s, _ in sl.groups]
+    # the state gather later holds msg, and u's slot-order buffer the block-order loo
+    states = np.take(values, sl.var, axis=0, mode="clip")
+    u_slots = np.empty((sl.var.size, p.rank))
     # overflow shows as the non-finite message below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, e in g.slots.groups:  # (S_c, c, d_h) @ (S_c, d_h, R)
-            u[e] = values[var[e]] @ w["slot/w_in"][rows[s]]
-        for _, e in lay.lowrank + lay.dense:
-            loo[e] = leave_one_out(u[e])
-        for s, e in g.slots.groups:
-            msg[e] = loo[e] @ w["slot/w_out"][rows[s]].transpose(0, 2, 1)
+        for (x, out), k in zip(_views(sl.groups, states, u_slots), rows):
+            np.matmul(x, w["slot/w_in"][k], out=out)  # (S_c, c, d_h) @ (S_c, d_h, R)
+        u = np.take(u_slots, sl.to_blocks, axis=0, mode="clip")
+        for x, out in _views(lay.lowrank + lay.dense, u, u_slots):
+            out[...] = leave_one_out(x)
+        loo = np.take(u_slots, sl.from_blocks, axis=0, mode="clip")
+        msg = states
+        for (x, out), k in zip(_views(sl.groups, loo, msg), rows):
+            np.matmul(x, w["slot/w_out"][k].transpose(0, 2, 1), out=out)
     bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
     if bad.size:
-        raise FloatingPointError(
-            f"non-finite message from factor {lay.fac[bad[0]]} into node {var[bad[0]]}"
-        )
+        e = sl.edges[bad].min()
+        raise FloatingPointError(f"non-finite message from factor {lay.fac[e]} into node {lay.var[e]}")
     agg = np.zeros_like(values)
-    for vs, e in lay.buckets:  # each column in edge order
-        agg[vs] = msg[e].sum(axis=0)
+    for (vs, _), (e,) in zip(lay.buckets, _views(lay.buckets, sl.to_buckets)):
+        agg[vs] = msg[e].sum(axis=0)  # each column in edge order
 
-    z = agg @ w["mlp/w1"].T + w["mlp/b1"]
-    r = np.maximum(z, 0.0)
-    out = r @ w["mlp/w2"].T + w["mlp/b2"]
-    new_values = values + out
-    tape = Tape(params=p, h_in=values, graph=g, rows=rows, u=u, loo=loo, agg=agg, z=z, r=r)
-    return HiddenStates(new_values), tape
+    z = agg @ w["mlp/w1"].T
+    z += w["mlp/b1"]
+    out = np.maximum(z, 0.0) @ w["mlp/w2"].T
+    out += w["mlp/b2"]
+    out += values
+    return HiddenStates(out), Tape(params=p, h_in=values, graph=g, rows=rows, u=u, loo=loo,
+                                   agg=agg, z=z)
 
 
 def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
@@ -216,28 +229,32 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != states shape {tape.h_in.shape}"
         )
-    g, rows, var = tape.graph, tape.rows, tape.graph.layout.var
+    lay, sl, rows = tape.graph.layout, tape.graph.slots, tape.rows
     with np.errstate(over="ignore", invalid="ignore"):
         grads["mlp/b2"] += upstream.sum(axis=0)
-        grads["mlp/w2"] += upstream.T @ tape.r
+        grads["mlp/w2"] += upstream.T @ np.maximum(tape.z, 0.0)
         dz = (upstream @ w["mlp/w2"]) * (tape.z > 0)
         grads["mlp/b1"] += dz.sum(axis=0)
         grads["mlp/w1"] += dz.T @ tape.agg
-        dmsg = (dz @ w["mlp/w1"])[var]
+        dmsg = np.take(dz @ w["mlp/w1"], sl.var, axis=0, mode="clip")
         dloo = np.empty_like(tape.loo)
-        for s, e in g.slots.groups:
-            grads["slot/w_out"][rows[s]] += dmsg[e].transpose(0, 2, 1) @ tape.loo[e]
-            dloo[e] = dmsg[e] @ w["slot/w_out"][rows[s]]
-        du = np.empty_like(tape.u)
-        for _, e in g.layout.lowrank + g.layout.dense:
-            du[e] = leave_one_out_tangent(tape.u[e], dloo[e])
-        dh_edge = np.empty_like(dmsg)
-        for s, e in g.slots.groups:
-            grads["slot/w_in"][rows[s]] += tape.h_in[var[e]].transpose(0, 2, 1) @ du[e]
-            dh_edge[e] = du[e] @ w["slot/w_in"][rows[s]].transpose(0, 2, 1)
+        for (dm, loo, out), k in zip(_views(sl.groups, dmsg, tape.loo, dloo), rows):
+            grads["slot/w_out"][k] += dm.transpose(0, 2, 1) @ loo
+            np.matmul(dm, w["slot/w_out"][k], out=out)
+        # in block order, each block's du overwrites the dloo it was computed from
+        du = np.take(dloo, sl.to_blocks, axis=0, mode="clip")
+        for x, t in _views(lay.lowrank + lay.dense, tape.u, du):
+            t[...] = leave_one_out_tangent(x, t)
+        # dloo now holds du in slot order, and dmsg the state gather, then
+        # group by group the gradient w.r.t. each edge's state
+        np.take(du, sl.from_blocks, axis=0, out=dloo, mode="clip")
+        np.take(tape.h_in, sl.var, axis=0, out=dmsg, mode="clip")
+        for (x, d_u), k in zip(_views(sl.groups, dmsg, dloo), rows):
+            grads["slot/w_in"][k] += x.transpose(0, 2, 1) @ d_u
+            np.matmul(d_u, w["slot/w_in"][k].transpose(0, 2, 1), out=x)
         dh = upstream.copy()  # residual path
-        for vs, e in g.layout.buckets:
-            dh[vs] += dh_edge[e].sum(axis=0)
+        for (vs, _), (e,) in zip(lay.buckets, _views(lay.buckets, sl.to_buckets)):
+            dh[vs] += dmsg[e].sum(axis=0)
     return dh
 
 

@@ -555,9 +555,11 @@ class TestEdgeLayout:
         run_lbp(g)
         assert len(builds) == 1
         lay = g.layout
-        arrays = [lay.var, lay.fac, g.slots.slot, *(x for group in lay.lowrank + lay.dense
-                                                     + lay.buckets + g.slots.groups for x in group),
-                  lay.bucket_edges, lay.block_edges, lay.to_buckets, lay.to_blocks, *g.cp_blocks]
+        sl = g.slots
+        arrays = [lay.var, lay.fac, sl.slot, *(x for group in lay.lowrank + lay.dense
+                                               + lay.buckets + sl.groups for x in group),
+                  lay.bucket_edges, lay.block_edges, lay.to_buckets, lay.to_blocks, sl.edges,
+                  sl.var, sl.to_blocks, sl.from_blocks, sl.to_buckets, *g.cp_blocks]
         assert len(g.cp_blocks) == 3 and not any(x.flags.writeable for x in arrays)
 
     @pytest.mark.parametrize("bad", [

@@ -165,6 +165,24 @@ class TestForward:
                 with pytest.raises(FloatingPointError, match="non-finite message from factor 0"):
                     lrbp_forward(HiddenStates(np.full((num_vars, 4), 1e200)), g, p)
 
+    def test_non_finite_message_names_the_first_edge(self):
+        # slot "a" has two edges, so its group follows the one-edge slots', and
+        # slot order puts edge 3 (factor 1 into node 3) before edge 0 (factor 0
+        # into node 0); huge states on two nodes of a factor overflow the
+        # message into its third node
+        g = lowrank_graph(8, [(0, 1, 2), (3, 4, 5), (6, 7)],
+                          slot_lists=[("a", "b", "c"), ("d", "e", "f"), ("a", "g")])
+        order = g.slots.edges.tolist()
+        assert order.index(3) < order.index(0)
+        p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, seed=4)
+        values = np.ones((8, 4))
+        values[[4, 5]] = 1e200
+        with pytest.raises(FloatingPointError, match="^non-finite message from factor 1 into node 3$"):
+            lrbp_forward(HiddenStates(values), g, p)
+        values[[1, 2]] = 1e200
+        with pytest.raises(FloatingPointError, match="^non-finite message from factor 0 into node 0$"):
+            lrbp_forward(HiddenStates(values), g, p)
+
     def test_arity_one_factor_contributes_ones_product(self):
         # empty Hadamard set: message = w_out @ ones(R)
         g = lowrank_graph(1, [(0,)], slot_lists=[("s",)])
@@ -897,3 +915,31 @@ class TestSlotTables:
         for name, a in new_p.arrays.items():
             assert same_bits(q.arrays[name], a), name
             assert same_bits(opt2.m[name], opt.m[name]) and same_bits(opt2.v[name], opt.v[name]), name
+
+
+class TestSlotRows:
+    """A group whose rows of the slot arrays form an ascending range reads
+    them as a slice; any other row order takes the gather."""
+
+    def test_slice_and_gather_agree_bitwise(self):
+        g = lowrank_graph(6, [(0, 1, 2), (2, 3), (1, 3, 4, 5), (0, 5)])
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=5)
+        # the same matrices for every slot, stored in reverse row order
+        perm = np.arange(len(p.slot_ids))[::-1]
+        named = named_arrays(p)
+        for name in ("slot/w_in", "slot/w_out"):
+            named[name] = named[name][perm].copy()
+        q = LayerParams(p.d_h, p.rank, tuple(p.slot_ids[k] for k in perm), named)
+        h = HiddenStates(np.random.default_rng(6).standard_normal((g.num_vars, 3)))
+        results = []
+        for params in (p, q):
+            out, tapes = forward_stack(h, g, params, layers=3)
+            grads = {name: np.zeros_like(a) for name, a in params.arrays.items()}
+            dh = backward_stack(tapes, 2.0 * out.values, grads)
+            results.append((tapes[0].rows, out.values, dh, grads))
+        (rows_p, out_p, dh_p, grads_p), (rows_q, out_q, dh_q, grads_q) = results
+        assert len(rows_p) == 1 and rows_p[0] == slice(0, 11)
+        assert len(rows_q) == 1 and rows_q[0].tolist() == perm.tolist()
+        assert same_bits(out_p, out_q) and same_bits(dh_p, dh_q)
+        for name, a in grads_p.items():
+            assert same_bits(a, grads_q[name][perm] if name.startswith("slot/") else grads_q[name]), name
