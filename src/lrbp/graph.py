@@ -195,10 +195,8 @@ def _edge_layout(num_vars: int, arity: np.ndarray, var: np.ndarray, rank: np.nda
                              key=arity * (rank.max(initial=0) + 1) + rank)
     lowrank = tuple((ids, e) for ids, e in blocks if rank[ids[0]])
     dense = tuple((ids, e) for ids, e in blocks if not rank[ids[0]])
-    # a stable sort keeps each variable's edges in factor order; NumPy radix
-    # sorts 16-bit keys, so a copy of that width sorts faster, to the same order
-    keys = var.astype(np.uint16) if num_vars <= 2 ** 16 else var
-    buckets = _groups_by_size(np.bincount(var, minlength=num_vars), np.argsort(keys, kind="stable"))
+    # a stable sort keeps each variable's edges in factor order
+    buckets = _groups_by_size(np.bincount(var, minlength=num_vars), np.argsort(var, kind="stable"))
     bucket_edges, block_edges = _raveled(buckets), _raveled(lowrank + dense)
     return EdgeLayout(
         var=_read_only(var),

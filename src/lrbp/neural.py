@@ -19,10 +19,9 @@ kernels' in block order (`lrbp.graph.EdgeLayout`). So every group and block
 reads and writes one contiguous slice of rows, and each phase reaches the
 other order through one gather (`g.slots.to_blocks`, `from_blocks`,
 `to_buckets`). Errors still name edges in the edge order of `lrbp.graph`.
-Graph slots bind to parameter rows by slot id; a group whose rows form an
-ascending range reads them as a slice. Its hand-derived backward takes the
-leave-two-out sums from `tensors.leave_one_out_tangent`, the same slab scan
-over dual numbers, never by division.
+Graph slots bind to parameter rows by slot id. Its hand-derived backward
+takes the leave-two-out sums from `tensors.leave_one_out_tangent`, the same
+slab scan over dual numbers, never by division.
 Parameters are read-only during a step; all update functions return fresh structures.
 
 A `LayerParams` holds its arrays in one table, keyed by name (see
@@ -146,18 +145,11 @@ class Tape:
     params: LayerParams
     h_in: np.ndarray
     graph: FactorGraph  # its layout and slots index the edge arrays below
-    rows: list  # per group of graph.slots.groups: its rows of params' slot arrays
+    rows: np.ndarray  # (S,): the row of params' slot arrays of each slot of graph.slots
     u: np.ndarray  # (E, R) in block order: W_in^T h of each edge's node
     loo: np.ndarray  # (E, R) in slot order: Hadamard product of the other slots' u in its factor
     agg: np.ndarray
     z: np.ndarray  # MLP pre-activations
-
-
-def _slot_rows(rows: np.ndarray):
-    """A group's rows of the slot arrays: a slice, which reads and adds in
-    place, when they form an ascending range, else the index array."""
-    lo = int(rows[0])
-    return slice(lo, lo + rows.size) if np.array_equal(rows, np.arange(lo, lo + rows.size)) else rows
 
 
 def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[HiddenStates, Tape]:
@@ -175,26 +167,26 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
         raise FloatingPointError("non-finite input hidden states")
 
     lay, sl, w = g.layout, g.slots, p.arrays
+    # rows[k]: the row of p's slot arrays for g's slot k
     index = {sid: k for k, sid in enumerate(p.slot_ids)}
     rows = np.array([index.get(sid, -1) for sid in sl.ids], dtype=np.intp)
     if np.any(rows < 0):  # ids are in first-appearance order, so the first bad edge is named
         k = np.flatnonzero(rows < 0)[0]
         raise ValueError(f"factor {lay.fac[sl.slot == k][0]}: unmapped slot id {sl.ids[k]!r}")
-    rows = [_slot_rows(rows[s]) for s, _ in sl.groups]
     # the state gather later holds msg, and u's slot-order buffer the block-order loo
     states = np.take(values, sl.var, axis=0, mode="clip")
     u_slots = np.empty((sl.var.size, p.rank))
     # overflow shows as the non-finite message below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for (x, out), k in zip(_views(sl.groups, states, u_slots), rows):
-            np.matmul(x, w["slot/w_in"][k], out=out)  # (S_c, c, d_h) @ (S_c, d_h, R)
+        for (s, _), (x, out) in zip(sl.groups, _views(sl.groups, states, u_slots)):
+            np.matmul(x, w["slot/w_in"][rows[s]], out=out)  # (S_c, c, d_h) @ (S_c, d_h, R)
         u = np.take(u_slots, sl.to_blocks, axis=0, mode="clip")
         for x, out in _views(lay.lowrank + lay.dense, u, u_slots):
             out[...] = leave_one_out(x)
         loo = np.take(u_slots, sl.from_blocks, axis=0, mode="clip")
         msg = states
-        for (x, out), k in zip(_views(sl.groups, loo, msg), rows):
-            np.matmul(x, w["slot/w_out"][k].transpose(0, 2, 1), out=out)
+        for (s, _), (x, out) in zip(sl.groups, _views(sl.groups, loo, msg)):
+            np.matmul(x, w["slot/w_out"][rows[s]].transpose(0, 2, 1), out=out)
     bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
     if bad.size:
         e = sl.edges[bad].min()
@@ -238,9 +230,9 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
         grads["mlp/w1"] += dz.T @ tape.agg
         dmsg = np.take(dz @ w["mlp/w1"], sl.var, axis=0, mode="clip")
         dloo = np.empty_like(tape.loo)
-        for (dm, loo, out), k in zip(_views(sl.groups, dmsg, tape.loo, dloo), rows):
-            grads["slot/w_out"][k] += dm.transpose(0, 2, 1) @ loo
-            np.matmul(dm, w["slot/w_out"][k], out=out)
+        for (s, _), (dm, loo, out) in zip(sl.groups, _views(sl.groups, dmsg, tape.loo, dloo)):
+            grads["slot/w_out"][rows[s]] += dm.transpose(0, 2, 1) @ loo
+            np.matmul(dm, w["slot/w_out"][rows[s]], out=out)
         # in block order, each block's du overwrites the dloo it was computed from
         du = np.take(dloo, sl.to_blocks, axis=0, mode="clip")
         for x, t in _views(lay.lowrank + lay.dense, tape.u, du):
@@ -249,9 +241,9 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
         # group by group the gradient w.r.t. each edge's state
         np.take(du, sl.from_blocks, axis=0, out=dloo, mode="clip")
         np.take(tape.h_in, sl.var, axis=0, out=dmsg, mode="clip")
-        for (x, d_u), k in zip(_views(sl.groups, dmsg, dloo), rows):
-            grads["slot/w_in"][k] += x.transpose(0, 2, 1) @ d_u
-            np.matmul(d_u, w["slot/w_in"][k].transpose(0, 2, 1), out=x)
+        for (s, _), (x, d_u) in zip(sl.groups, _views(sl.groups, dmsg, dloo)):
+            grads["slot/w_in"][rows[s]] += x.transpose(0, 2, 1) @ d_u
+            np.matmul(d_u, w["slot/w_in"][rows[s]].transpose(0, 2, 1), out=x)
         dh = upstream.copy()  # residual path
         for (vs, _), (e,) in zip(lay.buckets, _views(lay.buckets, sl.to_buckets)):
             dh[vs] += dmsg[e].sum(axis=0)

@@ -222,25 +222,6 @@ class TestBuildGraph:
         g = build_graph(5, 3, bindings)
         assert bucket_factors(g) == scope_factors(g)
 
-    @pytest.mark.parametrize("num_vars", [300, 2**16, 2**16 + 1, 70_000])
-    def test_buckets_follow_the_stable_sort_of_var(self, num_vars):
-        # below 2**16 + 1 variables the layout sorts 16-bit keys; variables
-        # 2**16 apart would share one, so both sides of the bound are drawn
-        rng = np.random.default_rng(num_vars)
-        pool = np.unique([*(np.array([0, 1, 2**16 - 1, 2**16, num_vars - 1]) % num_vars),
-                          *rng.integers(0, num_vars, size=60)])
-        first = rng.choice(pool, size=2000)
-        second = pool[(np.searchsorted(pool, first) + rng.integers(1, pool.size, size=2000)) % pool.size]
-        table = DensePayload(np.ones((2, 2)))
-        g = build_graph(num_vars, 2, [FactorBinding((int(a), int(b)), table)
-                                      for a, b in zip(first, second)])
-        lay = g.layout
-        degree = np.bincount(lay.var, minlength=num_vars)
-        order, starts = np.empty_like(lay.var), np.cumsum(degree) - degree
-        for vs, edges in lay.buckets:
-            order[starts[vs] + np.arange(edges.shape[0])[:, None]] = edges
-        assert order.tolist() == np.argsort(lay.var, kind="stable").tolist()
-
     @given(seed=st.integers(0, 10**6))
     def test_slot_order_reaches_the_layout_orders(self, seed):
         # low-rank factors whose slot ids repeat within and across factors,

@@ -918,10 +918,10 @@ class TestSlotTables:
 
 
 class TestSlotRows:
-    """A group whose rows of the slot arrays form an ascending range reads
-    them as a slice; any other row order takes the gather."""
+    """The layer reads each slot's matrices from its row of the slot arrays,
+    in whatever order the params list their slot ids."""
 
-    def test_slice_and_gather_agree_bitwise(self):
+    def test_permuted_slot_rows_agree_bitwise(self):
         g = lowrank_graph(6, [(0, 1, 2), (2, 3), (1, 3, 4, 5), (0, 5)])
         p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=5)
         # the same matrices for every slot, stored in reverse row order
@@ -936,10 +936,8 @@ class TestSlotRows:
             out, tapes = forward_stack(h, g, params, layers=3)
             grads = {name: np.zeros_like(a) for name, a in params.arrays.items()}
             dh = backward_stack(tapes, 2.0 * out.values, grads)
-            results.append((tapes[0].rows, out.values, dh, grads))
-        (rows_p, out_p, dh_p, grads_p), (rows_q, out_q, dh_q, grads_q) = results
-        assert len(rows_p) == 1 and rows_p[0] == slice(0, 11)
-        assert len(rows_q) == 1 and rows_q[0].tolist() == perm.tolist()
+            results.append((out.values, dh, grads))
+        (out_p, dh_p, grads_p), (out_q, dh_q, grads_q) = results
         assert same_bits(out_p, out_q) and same_bits(dh_p, dh_q)
         for name, a in grads_p.items():
             assert same_bits(a, grads_q[name][perm] if name.startswith("slot/") else grads_q[name]), name
