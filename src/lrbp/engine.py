@@ -20,10 +20,13 @@ gathers nothing. A low-rank block holds the factors of one (arity n, rank
 R): it projects its (n, F, d) rows through its weights, takes the
 leave-one-out Hadamard product over the slot axis and maps back,
 O(n * d * R) per factor.
-The dense block of one arity goes in one call: a prefix contraction of each
-table against suffix outer products of the rows sends all n messages of a
-factor in O(d**n). The two steps that read a table run per factor, in place;
-the rest are batched matmuls over chunks of factors. Variables are bucketed
+The dense block of one arity goes in one call, by recursive halving: two
+matrix-vector products, against the outer products of the first and of the
+last half of a factor's rows, reduce its table to two tables of half the
+arity, whose messages are the factor's, and the halves recurse, batched over
+the block, down to arity 1. Those two products are the only reads of a
+table and run per factor, in place, so all n messages cost 2 * d**n
+multiply-adds plus terms of order d**ceil(n/2). Variables are bucketed
 by degree D: a bucket takes the leave-one-out product of its (D, V, d) rows
 times the unary, O(D * d) each. Both leave-one-out products are
 `tensors.leave_one_out`, which scans the slot axis slab by slab, or by
@@ -47,8 +50,6 @@ from .graph import FactorGraph, _views, factor_cp, joint_table  # noqa: F401
 from .tensors import _integer, leave_one_out
 
 NEGATIVE_TOL = -1e-12
-# doubles in one chunk's intermediate in `_dense_messages` (512 KiB)
-_CHUNK = 2 ** 16
 
 
 class ZeroMessageError(Exception):
@@ -114,39 +115,59 @@ def _lowrank_messages(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("nfdr,nfr->nfd", w, leave_one_out(gamma))
 
 
+def _outer(rows: np.ndarray) -> np.ndarray:
+    """(F, d**j) outer products of slot-major (j, F, d) rows, row 0 the
+    slowest axis, built from the last row forward."""
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = (row[:, :, None] * acc[:, None, :]).reshape(len(acc), -1)
+    return acc
+
+
+def _halve(t: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """Write into `out` the (j, F, d) messages of F j-ary tables, the rows of
+    `t` (F, d**j), for slot-major rows `m` (j, F, d): the step of
+    `_dense_messages` batched over the factors."""
+    j, F, d = m.shape
+    if j == 1:
+        out[0] = t
+        return
+    k = j // 2
+    t = t.reshape(F, d ** k, -1)
+    _halve(np.matmul(t, _outer(m[k:])[:, :, None])[:, :, 0], m[:k], out[:k])
+    _halve(np.matmul(_outer(m[:k])[:, None, :], t)[:, 0], m[k:], out[k:])
+
+
 def _dense_messages(tables: list[np.ndarray], m: np.ndarray) -> np.ndarray:
     """Unnormalized messages of F dense factors of arity n: message k of
     factor f sums the C-contiguous (d,) * n table `tables[f]` times every row
     of m[:, f] but row k, for slot-major (n, F, d) incoming `m`.
 
-    With S_k the outer product of rows k+1..n-1 and `acc` the table already
-    contracted with rows 0..k-1, message k is `acc @ S_k` over acc's leading
-    axis. All n messages cost about 2 * d / (d - 1) * d**n multiply-adds;
-    marginalizing the full table once per message costs n**2 * d**n.
-
-    Factors go in chunks whose (c, d**(n-1)) intermediate holds at most
-    `_CHUNK` doubles. Only the two steps that read a table, message 0 and the
-    first prefix contraction, run per factor; every later step is one
-    batched matmul over the chunk. Each factor's products are the same
-    matrix-vector products in the same order whatever the chunk size."""
+    Recursive halving: with k = n // 2 and the table viewed as a
+    (d**k, d**(n-k)) matrix T, z = T @ outer(m_k..m_{n-1}) is a k-ary table
+    whose messages under rows m_0..m_{k-1} are the messages into slots
+    0..k-1, and a = outer(m_0..m_{k-1}) @ T is an (n-k)-ary table that gives
+    the messages into slots k..n-1 the same way. Both halves recurse,
+    batched over the F factors, down to arity 1, where the message is the
+    table itself. The two matrix-vector products per factor are the only
+    reads of a table, which is never stacked or copied, and every
+    intermediate holds O(F * d**ceil(n/2)) doubles. All n messages cost
+    2 * d**n multiply-adds plus terms of order d**ceil(n/2); marginalizing
+    the full table once per message costs n**2 * d**n."""
     n, F, d = m.shape
     out = np.empty((n, F, d))
-    c = max(1, _CHUNK // d ** (n - 1))
-    for lo in range(0, F, c):
-        mc, tc = m[:, lo:lo + c], tables[lo:lo + c]
-        suffix = [np.ones((len(tc), 1))]  # suffix[j] is S_{n-1-j}, (c, d**j)
-        for row in mc[:0:-1]:
-            suffix.append((row[:, :, None] * suffix[-1][:, None, :]).reshape(len(tc), -1))
-        acc = np.empty((len(tc), d ** (n - 1)))
-        for i, t in enumerate(tc):
-            t = t.reshape(d, -1)
-            np.matmul(t, suffix[-1][i], out=out[0, lo + i])
-            np.matmul(mc[0, i], t, out=acc[i])
-        for k in range(1, n):
-            acc = acc.reshape(len(tc), d, -1)
-            out[k, lo:lo + c] = np.matmul(acc, suffix[n - 1 - k][:, :, None])[:, :, 0]
-            if k < n - 1:
-                acc = np.matmul(mc[k][:, None, :], acc)
+    if n == 1:
+        out[0] = tables
+        return out
+    k = n // 2
+    head, tail = _outer(m[:k]), _outer(m[k:])
+    z, a = np.empty((F, d ** k)), np.empty((F, d ** (n - k)))
+    for f, t in enumerate(tables):
+        t = t.reshape(d ** k, -1)
+        np.matmul(t, tail[f], out=z[f])
+        np.matmul(head[f], t, out=a[f])
+    _halve(z, m[:k], out[:k])
+    _halve(a, m[k:], out[k:])
     return out
 
 

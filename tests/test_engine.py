@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -690,7 +694,7 @@ class TestDenseMessages:
     @settings(max_examples=60, deadline=None)
     @given(
         num=st.integers(1, 9),
-        arity=st.integers(1, 7),
+        arity=st.integers(1, 8),
         d=st.integers(2, 4),
         zeros=st.sampled_from([0.0, 0.5, 0.9]),
         seed=st.integers(0, 10**6),
@@ -701,26 +705,25 @@ class TestDenseMessages:
         def nonnegative(shape):
             return rng.uniform(size=shape) * (rng.uniform(size=shape) >= zeros)
 
+        # arities 1-8 take odd and even splits at every depth of the halving;
+        # d <= 4 keeps each table at most 65,536 doubles
+        assert d**arity <= 65_536
         ts = [nonnegative((d,) * arity) for _ in range(num)]
         m = nonnegative((arity, num, d))
-        # chunks of 1 factor, of d factors at arity 1 and at every arity, and the default
-        runs = []
-        for chunk in (1, d, d**arity, engine._CHUNK):
-            with mock.patch.object(engine, "_CHUNK", chunk):
-                runs.append(_dense_messages(ts, m))
-        got = runs[-1]
+        got = _dense_messages(ts, m)
         assert got.shape == (arity, num, d)
-        assert all(r.tobytes() == got.tobytes() for r in runs)
         for f, t in enumerate(ts):
+            # a factor run alone gets bitwise the messages it gets in its block
+            alone = _dense_messages([t], m[:, f:f + 1])
+            assert alone.tobytes() == got[:, f:f + 1].tobytes()
             for k in range(arity):
                 want = marginalize_product(t, list(m[:, f]), keep=k)
                 # exact zeros agree, so ZeroMessageError names the same edge
                 assert np.array_equal(got[k, f] == 0.0, want == 0.0)
                 assert np.max(np.abs(got[k, f] - want)) <= 1e-12 * want.max()
 
-    @pytest.mark.parametrize("chunk", [None, 9])
     @pytest.mark.parametrize("damping", [0.0, 0.3])
-    def test_mixed_groups_match_reference_loop(self, damping, chunk):
+    def test_mixed_groups_match_reference_loop(self, damping):
         # five factors of each arity 1-6 over d = 3, dense and low-rank in turn,
         # with the arities interleaved in factor order
         rng = np.random.default_rng(82)
@@ -756,14 +759,12 @@ class TestDenseMessages:
                 assert not ids.flags.writeable and not edges.flags.writeable
         assert len(lay.lowrank) > len(lay.dense)  # some arity has two CP ranks
         opts = LBPOptions(max_iters=60, tol=1e-10, damping=damping)
-        with mock.patch.object(engine, "_CHUNK", chunk or engine._CHUNK):
-            got = run_lbp(g, opts)
+        got = run_lbp(g, opts)
         beliefs, iterations, converged = reference_lbp(g, opts)
         assert converged and got.converged and got.iterations_used == iterations
         assert np.max(np.abs(got.beliefs - beliefs)) <= 1e-12
 
-    @pytest.mark.parametrize("chunk", [None, 1])
-    def test_zero_row_of_a_later_dense_factor_names_its_edge(self, chunk):
+    def test_zero_row_of_a_later_dense_factor_names_its_edge(self):
         # variable 0 is pinned to state 0, so a dense (0, v) factor whose table
         # row 0 is zero sends v an all-zero message; factors 2 and 3 both do,
         # and 2->3, the second edge of factor 2, comes first in edge order
@@ -783,11 +784,25 @@ class TestDenseMessages:
         opts = LBPOptions(max_iters=40)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with mock.patch.object(engine, "_CHUNK", chunk or engine._CHUNK):
-                with pytest.raises(ZeroMessageError, match=r"^message 2->3 normalized to zero mass$"):
-                    run_lbp(g, opts)
+            with pytest.raises(ZeroMessageError, match=r"^message 2->3 normalized to zero mass$"):
+                run_lbp(g, opts)
             with pytest.raises(ZeroMessageError, match=r"^message 2->3 normalized to zero mass$"):
                 reference_lbp(g, opts)
+
+    @pytest.mark.parametrize("arity", [7, 8])
+    def test_tables_are_read_in_place(self, arity):
+        # 40 tables of d = 4 hold 5 MiB at arity 7 and 20 MiB at arity 8, so
+        # a stack of them, or a copy of two arity-8 tables, passes 1 MiB
+        rng = np.random.default_rng(86)
+        ts = [rng.uniform(size=(4,) * arity) for _ in range(40)]
+        m = rng.uniform(size=(arity, 40, 4))
+        tracemalloc.start()
+        try:
+            _dense_messages(ts, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("damping", [0.0, 0.3])
     def test_run_lbp_leaves_marginalize_product_to_the_oracle(self, damping):
@@ -805,6 +820,48 @@ class TestDenseMessages:
         got = run_lbp(g, opts)
         assert got.iterations_used == iterations and got.converged == converged
         assert np.max(np.abs(got.beliefs - beliefs)) <= 1e-12
+
+
+# One arity-8 dense solve and one low-rank solve of arities 2-8 over d = 4;
+# prints each solve's iterations and the sha256 of its beliefs.
+SOLVE_DIGESTS = """
+import hashlib
+import numpy as np
+from lrbp.engine import LBPOptions, run_lbp
+from lrbp.graph import DensePayload, FactorBinding, LowRankPayload, build_graph
+from lrbp.tensors import cp_random
+
+rng = np.random.default_rng(87)
+d, num_vars = 4, 12
+unary = rng.uniform(0.1, 1.0, size=(num_vars, d))
+
+def scope(n):
+    return tuple(rng.choice(num_vars, size=n, replace=False).tolist())
+
+dense = [FactorBinding(scope(8), DensePayload(rng.uniform(0.1, 1.0, size=(d,) * 8)))
+         for _ in range(6)]
+lowrank = [FactorBinding(scope(n), LowRankPayload(f"p{n}")) for n in range(2, 9) for _ in range(4)]
+params = {f"p{n}": cp_random(n, d, 4, seed=n) for n in range(2, 9)}
+for g in (build_graph(num_vars, d, dense, unary=unary),
+          build_graph(num_vars, d, lowrank, unary=unary, params=params)):
+    got = run_lbp(g, LBPOptions(max_iters=50))
+    print(got.iterations_used, hashlib.sha256(got.beliefs.tobytes()).hexdigest())
+"""
+
+
+class TestThreadInvariance:
+    def test_solves_are_bitwise_equal_at_one_and_two_blas_threads(self):
+        # the 256 x 256 matrix-vector products of an arity-8 table are large
+        # enough that OpenBLAS may split them across threads
+        src = str(Path(engine.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            runs.append(subprocess.run([sys.executable, "-c", SOLVE_DIGESTS], env=env, check=True,
+                                       capture_output=True, text=True, timeout=120).stdout)
+        assert len(runs[0].splitlines()) == 2
+        assert runs[0] == runs[1]
 
 
 class TestExactMarginals:
