@@ -65,7 +65,6 @@ class BeliefSet:
     beliefs: np.ndarray  # (num_vars, d), rows sum to 1
     converged: bool
     iterations_used: int
-    final_delta: float
     trace: tuple[tuple[int, float], ...] = ()  # (iteration, delta) per iteration
 
 
@@ -267,7 +266,6 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
         beliefs=beliefs,
         converged=delta < opts.tol,
         iterations_used=iteration,
-        final_delta=delta,
         trace=tuple(trace),
     )
 
@@ -282,4 +280,4 @@ def exact_marginals(g: FactorGraph) -> BeliefSet:
     for i in range(g.num_vars):
         axes = tuple(ax for ax in range(g.num_vars) if ax != i)
         out[i] = joint.sum(axis=axes) / z if axes else joint / z
-    return BeliefSet(beliefs=out, converged=True, iterations_used=0, final_delta=0.0)
+    return BeliefSet(beliefs=out, converged=True, iterations_used=0)

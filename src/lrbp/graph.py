@@ -81,10 +81,6 @@ class FactorBinding:
                     raise GraphError(f"slot ids must be strings, got {sid!r}")
             object.__setattr__(self, "slot_ids", slot_ids)
 
-    @property
-    def arity(self) -> int:
-        return len(self.scope)
-
 
 @dataclass(frozen=True, eq=False)  # identity equality, as EdgeLayout: fields hold arrays
 class FactorGraph:
@@ -131,7 +127,7 @@ class FactorGraph:
             var=_read_only(lay.var[edges]),
             to_blocks=_read_only(rows[lay.block_edges]),
             from_blocks=_read_only(_positions(lay.block_edges)[edges]),
-            to_buckets=_read_only(rows[lay.bucket_edges]),
+            buckets=tuple((vs, _read_only(rows[e])) for vs, e in lay.buckets),
         )
 
 
@@ -174,8 +170,8 @@ class SlotIndex:
     The neural layer keeps the arrays its matmuls write in slot order, the
     groups' edge blocks raveled in turn, so that each group owns one slice of
     rows, which reads as its (S_c, c) item-major block. It reaches the
-    layout's block and bucket orders through one gather each: `to_blocks`,
-    `from_blocks` and `to_buckets`."""
+    layout's block order through `to_blocks` and `from_blocks`, and each
+    degree bucket's rows through `buckets`."""
 
     ids: tuple[str, ...]  # (S,) slot ids in first-appearance order
     slot: np.ndarray  # (E,) index into `ids` of each edge's slot
@@ -184,7 +180,7 @@ class SlotIndex:
     var: np.ndarray  # (E,) variable of each row in slot order
     to_blocks: np.ndarray  # (E,) slot-order row of each block-order row
     from_blocks: np.ndarray  # (E,) block-order row of each slot-order row
-    to_buckets: np.ndarray  # (E,) slot-order row of each bucket-order row
+    buckets: tuple  # ((V,) variables, (D, V) slot-order rows) per degree bucket of the layout
 
 
 def _edge_layout(num_vars: int, arity: np.ndarray, var: np.ndarray, rank: np.ndarray) -> EdgeLayout:

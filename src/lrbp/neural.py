@@ -17,8 +17,8 @@ edge array in the order of the phase that writes it, as LBP does: the
 matmuls' arrays in slot order (`lrbp.graph.SlotIndex`) and the leave-one-out
 kernels' in block order (`lrbp.graph.EdgeLayout`). So every group and block
 reads and writes one contiguous slice of rows, and each phase reaches the
-other order through one gather (`g.slots.to_blocks`, `from_blocks`,
-`to_buckets`). Errors still name edges in the edge order of `lrbp.graph`.
+other order through one gather (`g.slots.to_blocks`, `from_blocks`, and the
+rows of `buckets`). Errors still name edges in the edge order of `lrbp.graph`.
 Graph slots bind to parameter rows by slot id. Its hand-derived backward
 takes the leave-two-out sums from `tensors.leave_one_out_tangent`, the same
 slab scan over dual numbers, never by division.
@@ -74,10 +74,16 @@ class LayerParams:
         readout/b              (out_dim,)
     """
 
-    d_h: int
-    rank: int
     slot_ids: tuple[str, ...]
     arrays: dict[str, np.ndarray]
+
+    @property
+    def d_h(self) -> int:
+        return self.arrays["slot/w_in"].shape[1]
+
+    @property
+    def rank(self) -> int:
+        return self.arrays["slot/w_in"].shape[2]
 
 
 def graph_slot_ids(g: FactorGraph) -> list[str]:
@@ -115,7 +121,7 @@ def init_layer_params(
     draws = slot_rng.uniform(-s, s, size=(len(slot_ids), 2, d_h, rank))
     s1 = 1.0 / np.sqrt(d_h)
     s2 = 1.0 / np.sqrt(d_mlp)
-    return LayerParams(d_h, rank, slot_ids, {
+    return LayerParams(slot_ids, {
         "slot/w_in": draws[:, 0].copy(),
         "slot/w_out": draws[:, 1].copy(),
         "mlp/w1": mlp_rng.uniform(-s1, s1, size=(d_mlp, d_h)),
@@ -135,7 +141,7 @@ def named_arrays(p: LayerParams) -> dict[str, np.ndarray]:
 
 def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
     """The LayerParams with p's names, in p's order, and the arrays of `named`."""
-    return LayerParams(p.d_h, p.rank, p.slot_ids, {name: named[name] for name in p.arrays})
+    return LayerParams(p.slot_ids, {name: named[name] for name in p.arrays})
 
 
 @dataclass
@@ -192,7 +198,7 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
         e = sl.edges[bad].min()
         raise FloatingPointError(f"non-finite message from factor {lay.fac[e]} into node {lay.var[e]}")
     agg = np.zeros_like(values)
-    for (vs, _), (e,) in zip(lay.buckets, _views(lay.buckets, sl.to_buckets)):
+    for vs, e in sl.buckets:
         agg[vs] = msg[e].sum(axis=0)  # each column in edge order
 
     z = agg @ w["mlp/w1"].T
@@ -245,7 +251,7 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
             grads["slot/w_in"][rows[s]] += x.transpose(0, 2, 1) @ d_u
             np.matmul(d_u, w["slot/w_in"][rows[s]].transpose(0, 2, 1), out=x)
         dh = upstream.copy()  # residual path
-        for (vs, _), (e,) in zip(lay.buckets, _views(lay.buckets, sl.to_buckets)):
+        for vs, e in sl.buckets:
             dh[vs] += dmsg[e].sum(axis=0)
     return dh
 
@@ -446,7 +452,7 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
             out[name] = x
         return out
 
-    p = LayerParams(d_h, rank, slot_ids, table(arrays, "", "array "))
+    p = LayerParams(slot_ids, table(arrays, "", "array "))
     opt = doc.get("optimizer")
     if opt is None:
         return p, None

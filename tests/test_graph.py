@@ -240,7 +240,8 @@ class TestBuildGraph:
         assert sl.edges.tolist() == raveled and sorted(raveled) == list(range(lay.var.size))
         assert sl.var.tolist() == lay.var[sl.edges].tolist()
         assert sl.edges[sl.to_blocks].tolist() == lay.block_edges.tolist()
-        assert sl.edges[sl.to_buckets].tolist() == lay.bucket_edges.tolist()
+        assert [(vs.tolist(), sl.edges[rows].tolist()) for vs, rows in sl.buckets] == \
+            [(vs.tolist(), e.tolist()) for vs, e in lay.buckets]
         identity = list(range(lay.var.size))
         assert sl.to_blocks[sl.from_blocks].tolist() == identity
         assert sl.from_blocks[sl.to_blocks].tolist() == identity

@@ -929,7 +929,7 @@ class TestSlotRows:
         named = named_arrays(p)
         for name in ("slot/w_in", "slot/w_out"):
             named[name] = named[name][perm].copy()
-        q = LayerParams(p.d_h, p.rank, tuple(p.slot_ids[k] for k in perm), named)
+        q = LayerParams(tuple(p.slot_ids[k] for k in perm), named)
         h = HiddenStates(np.random.default_rng(6).standard_normal((g.num_vars, 3)))
         results = []
         for params in (p, q):
