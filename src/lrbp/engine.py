@@ -62,6 +62,10 @@ class SignViolationWarning(UserWarning):
 
 @dataclass
 class BeliefSet:
+    """The beliefs of a solve and how it ended. The last delta is
+    `trace[-1][1]`; `exact_marginals` and a solve of 0 iterations leave
+    the trace empty."""
+
     beliefs: np.ndarray  # (num_vars, d), rows sum to 1
     converged: bool
     iterations_used: int

@@ -276,9 +276,10 @@ def build_graph(
     of `params`, so later changes to the caller's objects do not reach it.
     Raises GraphError for a num_vars or cardinality that is not an integer,
     or below 0 and 2, for a unary that is not a (num_vars, cardinality) array
-    of numbers, for a params value that is not a CPFactor, naming its id,
-    and, with the offending factor index, for out-of-range variables,
-    duplicate variables in one scope, or payload shape mismatches.
+    of numbers (with no variables, an empty list counts as one), for a params
+    value that is not a CPFactor, naming its id, and, with the offending
+    factor index, for out-of-range variables, duplicate variables in one
+    scope, or payload shape mismatches.
     """
     num_vars = _integer(num_vars, "num_vars", 0, error=GraphError)
     cardinality = _integer(cardinality, "cardinality", 2, error=GraphError)
@@ -330,6 +331,8 @@ def build_graph(
         unary = _float_array(np.ones((num_vars, cardinality)) if unary is None else unary, "unary")
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
+    if num_vars == 0 and unary.shape == (0,):  # JSON keeps no shape for an empty array
+        unary = unary.reshape(0, cardinality)
     if unary.shape != (num_vars, cardinality):
         raise GraphError(f"unary has shape {unary.shape}, expected {(num_vars, cardinality)}")
 

@@ -17,15 +17,18 @@ edge array in the order of the phase that writes it, as LBP does: the
 matmuls' arrays in slot order (`lrbp.graph.SlotIndex`) and the leave-one-out
 kernels' in block order (`lrbp.graph.EdgeLayout`). So every group and block
 reads and writes one contiguous slice of rows, and each phase reaches the
-other order through one gather (`g.slots.to_blocks`, `from_blocks`, and the
-rows of `buckets`). Errors still name edges in the edge order of `lrbp.graph`.
+other order through one gather (`g.slots.to_blocks`, `from_blocks`); each
+degree bucket sums its slot-order rows, `g.slots.buckets`, which are built
+with the slot index, not per layer. Errors still name edges in the edge
+order of `lrbp.graph`.
 Graph slots bind to parameter rows by slot id. Its hand-derived backward
 takes the leave-two-out sums from `tensors.leave_one_out_tangent`, the same
 slab scan over dual numbers, never by division.
 Parameters are read-only during a step; all update functions return fresh structures.
 
-A `LayerParams` holds its arrays in one table, keyed by name (see
-`LayerParams`). Gradients, Adam moments and checkpoints use the same names:
+A `LayerParams` holds its slot ids and, in one table keyed by name, its
+arrays (see `LayerParams`); its d_h and rank are read from the slot arrays'
+shape, not stored. Gradients, Adam moments and checkpoints use the same names:
 `lrbp_backward` adds each layer's gradients into a table the caller owns, and a
 checkpoint is the JSON object {"d_h", "rank", "slots", "arrays", "optimizer":
 null | {"step", "m", "v"}}.
@@ -72,10 +75,22 @@ class LayerParams:
         mlp/b2                 (d_h,)
         readout/w              (out_dim, d_h)  readout affine map
         readout/b              (out_dim,)
+
+    `d_h` and `rank` are read from the shape of slot/w_in. A slot_ids that
+    is a str, holds an id that is not one, or whose length differs from the
+    row count of slot/w_in or slot/w_out raises ValueError.
     """
 
     slot_ids: tuple[str, ...]
     arrays: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        ids = _slot_ids(self.slot_ids)
+        for name in ("slot/w_in", "slot/w_out"):
+            if len(self.arrays[name]) != len(ids):
+                raise ValueError(f"slot_ids has {len(ids)} ids but {name} has "
+                                 f"{len(self.arrays[name])} rows")
+        object.__setattr__(self, "slot_ids", ids)
 
     @property
     def d_h(self) -> int:
@@ -84,6 +99,17 @@ class LayerParams:
     @property
     def rank(self) -> int:
         return self.arrays["slot/w_in"].shape[2]
+
+
+def _slot_ids(ids) -> tuple[str, ...]:
+    """`ids` as a tuple; a str, or an id that is not one, raises ValueError."""
+    if isinstance(ids, str):
+        raise ValueError(f"slot_ids must be a sequence of strings, not the string {ids!r}")
+    ids = tuple(ids)
+    for sid in ids:
+        if not isinstance(sid, str):
+            raise ValueError(f"slot_ids must be strings, got {sid!r}")
+    return ids
 
 
 def graph_slot_ids(g: FactorGraph) -> list[str]:
@@ -106,11 +132,12 @@ def init_layer_params(
     Slots, MLP and readout each draw from their own child stream of
     `SeedSequence(seed)`, so for a given seed the MLP and readout arrays do
     not depend on the slot ids, and slot k's matrices (w_in, then w_out) do
-    not depend on the slots after it. A repeated slot id counts once. A d_h,
-    rank, d_mlp (by default 2 * d_h) or out_dim that is not a positive
-    integer raises ValueError.
+    not depend on the slots after it. A repeated slot id counts once. A
+    slot_ids that is a str or holds an id that is not, or a d_h, rank, d_mlp
+    (by default 2 * d_h) or out_dim that is not a positive integer, raises
+    ValueError.
     """
-    slot_ids = tuple(dict.fromkeys(slot_ids))
+    slot_ids = tuple(dict.fromkeys(_slot_ids(slot_ids)))
     d_h, rank = _integer(d_h, "d_h", 1), _integer(rank, "rank", 1)
     out_dim = _integer(out_dim, "out_dim", 1)
     d_mlp = _integer(2 * d_h if d_mlp is None else d_mlp, "d_mlp", 1)

@@ -849,20 +849,53 @@ for g in (build_graph(num_vars, d, dense, unary=unary),
     print(got.iterations_used, hashlib.sha256(got.beliefs.tobytes()).hexdigest())
 """
 
+# a 3-layer neural forward on 500 nodes and 600 low-rank factors of arity 2-6
+# with shared parameters, at the train-step benchmark's d_h and rank; the
+# backward is left out, as its mlp/w1 and mlp/w2 gradients reduce over all
+# nodes in one BLAS matmul, which does depend on the thread count
+FORWARD_DIGESTS = """
+import hashlib
+import numpy as np
+from lrbp.graph import FactorBinding, LowRankPayload, build_graph
+from lrbp.neural import HiddenStates, forward_stack, graph_slot_ids, init_layer_params
+from lrbp.tensors import cp_random
+
+rng = np.random.default_rng(88)
+num_vars = 500
+params = {f"p{n}.{t}": cp_random(n, 2, 2, seed=10 * n + t) for n in range(2, 7) for t in range(4)}
+bindings = []
+for _ in range(600):
+    n = int(rng.integers(2, 7))
+    scope = tuple(rng.choice(num_vars, size=n, replace=False).tolist())
+    bindings.append(FactorBinding(scope, LowRankPayload(f"p{n}.{rng.integers(4)}")))
+g = build_graph(num_vars, 2, bindings, params=params)
+p = init_layer_params(graph_slot_ids(g), d_h=32, rank=16, seed=1)
+h, _ = forward_stack(HiddenStates(rng.standard_normal((num_vars, 32))), g, p, layers=3)
+print(hashlib.sha256(h.values.tobytes()).hexdigest())
+"""
+
 
 class TestThreadInvariance:
-    def test_solves_are_bitwise_equal_at_one_and_two_blas_threads(self):
-        # the 256 x 256 matrix-vector products of an arity-8 table are large
-        # enough that OpenBLAS may split them across threads
+    @staticmethod
+    def assert_same_digests_at_one_and_two_threads(script, lines):
         src = str(Path(engine.__file__).resolve().parents[1])
         runs = []
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src,
                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            runs.append(subprocess.run([sys.executable, "-c", SOLVE_DIGESTS], env=env, check=True,
+            runs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                        capture_output=True, text=True, timeout=120).stdout)
-        assert len(runs[0].splitlines()) == 2
+        assert len(runs[0].splitlines()) == lines
         assert runs[0] == runs[1]
+
+    def test_solves_are_bitwise_equal_at_one_and_two_blas_threads(self):
+        # the 256 x 256 matrix-vector products of an arity-8 table are large
+        # enough that OpenBLAS may split them across threads
+        self.assert_same_digests_at_one_and_two_threads(SOLVE_DIGESTS, lines=2)
+
+    def test_neural_forward_is_bitwise_equal_at_one_and_two_blas_threads(self):
+        # the MLP's (500, 32) @ (32, 64) products are the layer's largest
+        self.assert_same_digests_at_one_and_two_threads(FORWARD_DIGESTS, lines=1)
 
 
 class TestExactMarginals:

@@ -405,6 +405,16 @@ class TestGraphFile:
         save_graph(load_graph(p1), p2)
         assert p1.read_text() == p2.read_text()
 
+    def test_graph_without_variables_round_trips(self, tmp_path):
+        # save_graph writes the (0, 3) unary as [], which keeps no shape
+        path = tmp_path / "graph.json"
+        for g in (build_graph(0, 3, []), build_graph(0, 3, [], unary=[])):
+            assert g.unary.shape == (0, 3)
+            save_graph(g, path)
+            h = load_graph(path)
+            assert (h.num_vars, h.cardinality, h.factors) == (0, 3, ())
+            assert h.unary.shape == (0, 3) and h.unary.dtype == np.float64
+
     def test_numpy_integer_sizes_round_trip(self, tmp_path):
         # a CP factor stores its sizes as Python ints, which JSON can write
         cp = CPFactor(2, np.int64(3), np.int32(2), np.ones((2, 3, 2)))

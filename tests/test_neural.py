@@ -533,6 +533,27 @@ class TestInit:
             init_layer_params(["a"], **{"d_h": 3, "rank": 2, **size})
         assert not isinstance(exc.value, GraphError)  # no graph is involved
 
+    def test_slot_ids_string_refused(self):
+        # a str would otherwise make one slot per character
+        with pytest.raises(ValueError, match="slot_ids must be a sequence of strings"):
+            init_layer_params("ab", 3, 2)
+
+    @pytest.mark.parametrize("bad", [1, None, b"a"])
+    def test_slot_ids_that_are_not_strings_refused(self, bad):
+        with pytest.raises(ValueError, match=f"slot_ids must be strings, got {bad!r}"):
+            init_layer_params(["a", bad], 3, 2)
+        p = init_layer_params(["a", "b"], 3, 2)
+        with pytest.raises(ValueError, match="slot_ids must be strings"):
+            LayerParams(("a", bad), p.arrays)
+
+    @pytest.mark.parametrize("name", ["slot/w_in", "slot/w_out"])
+    def test_slot_ids_must_match_the_slot_rows(self, name):
+        # one row short would fail inside lrbp_forward with numpy's IndexError
+        named = named_arrays(init_layer_params(["a", "b", "c"], 3, 2))
+        named[name] = named[name][:2]
+        with pytest.raises(ValueError, match=f"slot_ids has 3 ids but {name} has 2 rows"):
+            LayerParams(("a", "b", "c"), named)
+
     def test_sizes_stored_as_python_ints(self):
         p = init_layer_params(["a"], d_h=np.int64(3), rank=np.int32(2), out_dim=np.int64(2))
         assert type(p.d_h) is int and type(p.rank) is int
