@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .tensors import CPFactor, _check_capacity, _float_array, _integer, cp_expand
+from .tensors import CPFactor, _check_capacity, _float_array, _integer, _slot_ids, cp_expand
 
 
 class GraphError(ValueError):
@@ -60,7 +60,7 @@ class FactorBinding:
     slot_ids optionally names a per-position parameter key for each scope
     slot; the neural layer and the sharing-scheme builders use these, the
     classical engine ignores them. Raises GraphError for a scope entry that
-    is not an integer or a slot id that is not a string.
+    is not an integer, or slot ids that are a string or hold a non-string.
     """
 
     scope: tuple[int, ...]
@@ -71,14 +71,9 @@ class FactorBinding:
         scope = tuple(_integer(v, "scope entry", error=GraphError) for v in self.scope)
         object.__setattr__(self, "scope", scope)
         if self.slot_ids is not None:
-            slot_ids = tuple(self.slot_ids)
-            if len(slot_ids) != len(self.scope):
-                raise GraphError(
-                    f"slot_ids length {len(slot_ids)} != scope length {len(self.scope)}"
-                )
-            for sid in slot_ids:
-                if not isinstance(sid, str):
-                    raise GraphError(f"slot ids must be strings, got {sid!r}")
+            slot_ids = _slot_ids(self.slot_ids, "slot ids", error=GraphError)
+            if len(slot_ids) != len(scope):
+                raise GraphError(f"slot_ids length {len(slot_ids)} != scope length {len(scope)}")
             object.__setattr__(self, "slot_ids", slot_ids)
 
 

@@ -26,9 +26,8 @@ takes the leave-two-out sums from `tensors.leave_one_out_tangent`, the same
 slab scan over dual numbers, never by division.
 Parameters are read-only during a step; all update functions return fresh structures.
 
-A `LayerParams` holds its slot ids and, in one table keyed by name, its
-arrays (see `LayerParams`); its d_h and rank are read from the slot arrays'
-shape, not stored. Gradients, Adam moments and checkpoints use the same names:
+A `LayerParams` holds its slot ids and one table of arrays keyed by name.
+Gradients, Adam moments and checkpoints use the same names:
 `lrbp_backward` adds each layer's gradients into a table the caller owns, and a
 checkpoint is the JSON object {"d_h", "rank", "slots", "arrays", "optimizer":
 null | {"step", "m", "v"}}.
@@ -36,13 +35,13 @@ null | {"step", "m", "v"}}.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .graph import FactorGraph, _views
-from .tensors import _float_array, _integer, leave_one_out, leave_one_out_tangent
+from .tensors import _float_array, _integer, _slot_ids, leave_one_out, leave_one_out_tangent
 
 # Adam's decay rates and denominator offset
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -62,35 +61,49 @@ class HiddenStates:
         object.__setattr__(self, "values", v)
 
 
+def _shapes(S: int, d_h: int, R: int, d_mlp: int, out_dim: int) -> dict[str, tuple[int, ...]]:
+    """The names of a `LayerParams` table, in table order, and their shapes;
+    row k of the slot arrays is slot k, and readout/w and b an affine map."""
+    return {"slot/w_in": (S, d_h, R), "slot/w_out": (S, d_h, R), "mlp/w1": (d_mlp, d_h),
+            "mlp/b1": (d_mlp,), "mlp/w2": (d_h, d_mlp), "mlp/b2": (d_h,),
+            "readout/w": (out_dim, d_h), "readout/b": (out_dim,)}
+
+
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class LayerParams:
     """Parameters shared by every layer of a stack, as one named table.
 
-    `arrays` maps each name to its array, in this order:
-
-        slot/w_in, slot/w_out  (S, d_h, R)     row k is slot slot_ids[k]
-        mlp/w1                 (d_mlp, d_h)
-        mlp/b1                 (d_mlp,)
-        mlp/w2                 (d_h, d_mlp)
-        mlp/b2                 (d_h,)
-        readout/w              (out_dim, d_h)  readout affine map
-        readout/b              (out_dim,)
-
-    `d_h` and `rank` are read from the shape of slot/w_in. A slot_ids that
-    is a str, holds an id that is not one, or whose length differs from the
-    row count of slot/w_in or slot/w_out raises ValueError.
+    `arrays` is a new dict, in table order, of the caller's arrays (not
+    converted) under the names and shapes of `_shapes`, with sizes read from
+    slot/w_in, mlp/b1 and readout/b; `slot_rows` maps each slot id to its
+    row. Slot ids outside the input contract of `lrbp.tensors` or repeated,
+    a missing or extra name or a wrong shape raise ValueError naming them.
     """
 
     slot_ids: tuple[str, ...]
     arrays: dict[str, np.ndarray]
+    slot_rows: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = _slot_ids(self.slot_ids)
-        for name in ("slot/w_in", "slot/w_out"):
-            if len(self.arrays[name]) != len(ids):
-                raise ValueError(f"slot_ids has {len(ids)} ids but {name} has "
-                                 f"{len(self.arrays[name])} rows")
-        object.__setattr__(self, "slot_ids", ids)
+        rows = _slot_ids(self.slot_ids, "slot_ids", unique=True)
+        given = self.arrays
+        try:  # a size whose axis is missing reads 0, and the shape check names its array
+            s, b1, ro = (np.shape(given[k]) + (0, 0, 0) for k in ("slot/w_in", "mlp/b1", "readout/b"))
+            want = _shapes(len(rows), s[1], s[2], b1[0], ro[0])
+            arrays = {name: given[name] for name in want}
+        except KeyError as exc:
+            raise ValueError(f"arrays lack {exc.args[0]}") from None
+        for name in given.keys() - want.keys():
+            raise ValueError(f"arrays hold {name!r}, a name outside the table")
+        for name, shape in want.items():
+            got = np.shape(arrays[name])
+            if got != shape:
+                if name.startswith("slot/") and got[1:] == shape[1:]:
+                    raise ValueError(f"slot_ids has {len(rows)} ids but {name} has {got[0]} rows")
+                raise ValueError(f"{name} has shape {got}, expected {shape}")
+        object.__setattr__(self, "slot_ids", tuple(rows))
+        object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "slot_rows", rows)
 
     @property
     def d_h(self) -> int:
@@ -99,17 +112,6 @@ class LayerParams:
     @property
     def rank(self) -> int:
         return self.arrays["slot/w_in"].shape[2]
-
-
-def _slot_ids(ids) -> tuple[str, ...]:
-    """`ids` as a tuple; a str, or an id that is not one, raises ValueError."""
-    if isinstance(ids, str):
-        raise ValueError(f"slot_ids must be a sequence of strings, not the string {ids!r}")
-    ids = tuple(ids)
-    for sid in ids:
-        if not isinstance(sid, str):
-            raise ValueError(f"slot_ids must be strings, got {sid!r}")
-    return ids
 
 
 def graph_slot_ids(g: FactorGraph) -> list[str]:
@@ -137,27 +139,21 @@ def init_layer_params(
     (by default 2 * d_h) or out_dim that is not a positive integer, raises
     ValueError.
     """
-    slot_ids = tuple(dict.fromkeys(_slot_ids(slot_ids)))
+    slot_ids = tuple(dict.fromkeys(_slot_ids(slot_ids, "slot_ids")))
     d_h, rank = _integer(d_h, "d_h", 1), _integer(rank, "rank", 1)
     out_dim = _integer(out_dim, "out_dim", 1)
     d_mlp = _integer(2 * d_h if d_mlp is None else d_mlp, "d_mlp", 1)
-    slot_rng, mlp_rng, ro_rng = (
-        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)
-    )
+    rngs = {group: np.random.default_rng(child) for group, child
+            in zip(("slot", "mlp", "readout"), np.random.SeedSequence(seed).spawn(3))}
+    shapes = _shapes(len(slot_ids), d_h, rank, d_mlp, out_dim)
     s = 1.0 / np.sqrt(rank)
-    draws = slot_rng.uniform(-s, s, size=(len(slot_ids), 2, d_h, rank))
-    s1 = 1.0 / np.sqrt(d_h)
-    s2 = 1.0 / np.sqrt(d_mlp)
-    return LayerParams(slot_ids, {
-        "slot/w_in": draws[:, 0].copy(),
-        "slot/w_out": draws[:, 1].copy(),
-        "mlp/w1": mlp_rng.uniform(-s1, s1, size=(d_mlp, d_h)),
-        "mlp/b1": mlp_rng.uniform(-s1, s1, size=d_mlp),
-        "mlp/w2": mlp_rng.uniform(-s2, s2, size=(d_h, d_mlp)),
-        "mlp/b2": mlp_rng.uniform(-s2, s2, size=d_h),
-        "readout/w": ro_rng.uniform(-s1, s1, size=(out_dim, d_h)),
-        "readout/b": ro_rng.uniform(-s1, s1, size=out_dim),
-    })
+    draws = rngs["slot"].uniform(-s, s, size=(len(slot_ids), 2, d_h, rank))
+    arrays = {"slot/w_in": draws[:, 0].copy(), "slot/w_out": draws[:, 1].copy()}
+    for name, shape in list(shapes.items())[2:]:  # in table order, from each group's stream
+        if len(shape) == 2:  # a weight matrix, whose bias comes next and shares its fan-in
+            s = 1.0 / np.sqrt(shape[1])
+        arrays[name] = rngs[name.split("/")[0]].uniform(-s, s, size=shape)
+    return LayerParams(slot_ids, arrays)
 
 
 def named_arrays(p: LayerParams) -> dict[str, np.ndarray]:
@@ -167,8 +163,8 @@ def named_arrays(p: LayerParams) -> dict[str, np.ndarray]:
 
 
 def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
-    """The LayerParams with p's names, in p's order, and the arrays of `named`."""
-    return LayerParams(p.slot_ids, {name: named[name] for name in p.arrays})
+    """The LayerParams with p's slot ids and the arrays of `named`."""
+    return LayerParams(p.slot_ids, named)
 
 
 @dataclass
@@ -201,8 +197,7 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
 
     lay, sl, w = g.layout, g.slots, p.arrays
     # rows[k]: the row of p's slot arrays for g's slot k
-    index = {sid: k for k, sid in enumerate(p.slot_ids)}
-    rows = np.array([index.get(sid, -1) for sid in sl.ids], dtype=np.intp)
+    rows = np.array([p.slot_rows.get(sid, -1) for sid in sl.ids], dtype=np.intp)
     if np.any(rows < 0):  # ids are in first-appearance order, so the first bad edge is named
         k = np.flatnonzero(rows < 0)[0]
         raise ValueError(f"factor {lay.fac[sl.slot == k][0]}: unmapped slot id {sl.ids[k]!r}")
@@ -428,16 +423,15 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
     """Load a checkpoint written by save_checkpoint.
 
     A missing or malformed entry raises ValueError naming it (a field by its
-    key, an array by its named_arrays name, a moment as optimizer/<m|v>/<name>),
-    and so does a d_h, rank, optimizer/step, array or moment outside the input
-    contract of `lrbp.tensors`, an array or moment whose shape disagrees with
-    the slot count, d_h, rank, the MLP width (the length of mlp/b1) or the
-    readout width (the length of readout/b), and a slot id that the list
-    repeats. A checkpoint with one array per slot lacks slot/w_in."""
+    key, an array by its named_arrays name, a moment as optimizer/<m|v>/<name>):
+    a d_h, rank, optimizer/step, slot list, array or moment outside the input
+    contract of `lrbp.tensors`, or an array or moment not of its `LayerParams`
+    shape for the file's slot count, d_h and rank and the lengths of mlp/b1
+    and readout/b. A checkpoint with one array per slot lacks slot/w_in."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
-    def field(convert, node, key, prefix=""):
+    def entry(convert, node, key, prefix=""):
         if not isinstance(node, dict) or key not in node:
             raise ValueError(f"checkpoint is missing {prefix}{key}")
         try:
@@ -445,33 +439,24 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint field {prefix}{key}: {exc}") from exc
 
-    def arr(x):
-        return _float_array(x, "value", copy=False)
+    arr = partial(_float_array, field="value", copy=False)
+    integer = partial(_integer, field="value")  # 2.5 or true is refused, not truncated
 
     def ids(x):
-        if not isinstance(x, list) or not all(isinstance(sid, str) for sid in x):
+        if not isinstance(x, list):
             raise TypeError("expected a list of slot id strings")
-        repeated = [sid for sid, count in Counter(x).items() if count > 1]
-        if repeated:
-            raise ValueError(f"repeated slot id {repeated[0]!r}")
-        return tuple(x)
+        return tuple(_slot_ids(x, "value", unique=True))
 
-    def integer(x):  # 2.5 or true is refused, not truncated
-        return _integer(x, "value")
-
-    d_h, rank = field(integer, doc, "d_h"), field(integer, doc, "rank")
-    slot_ids = field(ids, doc, "slots")
-    arrays = field(dict, doc, "arrays")
-    d_mlp, out_dim = field(arr, arrays, "mlp/b1").size, field(arr, arrays, "readout/b").size
-    slot = (len(slot_ids), d_h, rank)
-    want = {"slot/w_in": slot, "slot/w_out": slot, "mlp/w1": (d_mlp, d_h), "mlp/b1": (d_mlp,),
-            "mlp/w2": (d_h, d_mlp), "mlp/b2": (d_h,), "readout/w": (out_dim, d_h),
-            "readout/b": (out_dim,)}
+    d_h, rank = entry(integer, doc, "d_h"), entry(integer, doc, "rank")
+    slot_ids = entry(ids, doc, "slots")
+    arrays = entry(dict, doc, "arrays")
+    d_mlp, out_dim = entry(arr, arrays, "mlp/b1").size, entry(arr, arrays, "readout/b").size
+    want = _shapes(len(slot_ids), d_h, rank, d_mlp, out_dim)
 
     def table(node, prefix, what):
         out = {}
         for name, shape in want.items():
-            x = field(arr, node, name, prefix)
+            x = entry(arr, node, name, prefix)
             if x.size == 0 and 0 in shape:  # JSON keeps no shape for an empty array
                 x = x.reshape(shape)
             if x.shape != shape:
@@ -483,6 +468,6 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
     opt = doc.get("optimizer")
     if opt is None:
         return p, None
-    moments = [table(field(dict, opt, k, "optimizer/"), f"optimizer/{k}/", f"optimizer {k} of ")
+    moments = [table(entry(dict, opt, k, "optimizer/"), f"optimizer/{k}/", f"optimizer {k} of ")
                for k in "mv"]
-    return p, AdamState(field(integer, opt, "step", "optimizer/"), *moments)
+    return p, AdamState(entry(integer, opt, "step", "optimizer/"), *moments)

@@ -7,8 +7,10 @@ a caller or a file. A size is a Python or NumPy integer, not a bool, and is
 stored as `int` (`_integer`). An array must have dtype kind f, i or u, and is
 stored as C-contiguous float64 (`_float_array`): strings, bools, None and
 complex values are refused, not converted (NumPy reads a bool among numbers
-as a number, though). A refusal is a ValueError naming the field, raised by
-`lrbp.graph` as a GraphError.
+as a number, though). Slot ids are a sequence of `str`, not a str itself
+(`_slot_ids`); those that name the rows of a parameter table do not repeat.
+A refusal is a ValueError naming the field, raised by `lrbp.graph` as a
+GraphError.
 
 Both kernels take the product along axis 0, the slot axis of the callers'
 slot-major gathers, and share one prefix/suffix scan over its contiguous
@@ -100,6 +102,24 @@ def _float_array(x, field: str, copy: bool = True) -> np.ndarray:
         raise ValueError(f"{field} must be real numbers, got dtype {a.dtype}")
     # NumPy builds a new array from a list or tuple; any other x may share its memory
     return a.astype(np.float64, order="C", copy=copy and not isinstance(x, (list, tuple)))
+
+
+def _slot_ids(ids, field: str, unique: bool = False, error: type = ValueError):
+    """`ids` as a tuple under the input contract, or with `unique` as the
+    {id: position} dict of ids that do not repeat; otherwise `error` naming
+    `field` or the first repeated id."""
+    if isinstance(ids, str):  # it would make one id per character
+        raise error(f"{field} must be a sequence of strings, not the string {ids!r}")
+    ids = tuple(ids)
+    for sid in ids:
+        if not isinstance(sid, str):
+            raise error(f"{field} must be strings, got {sid!r}")
+    if not unique:
+        return ids
+    index = {sid: k for k, sid in enumerate(ids)}
+    if len(index) < len(ids):
+        raise error(f"repeated slot id {next(s for s in ids if ids.count(s) > 1)!r}")
+    return index
 
 
 def cp_expand(f: CPFactor) -> np.ndarray:

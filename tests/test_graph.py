@@ -110,6 +110,11 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="factor 0.*out of range"):
             build_graph(2, 2, [FactorBinding((0, 5), DensePayload(np.ones((2, 2))))])
 
+    def test_slot_ids_string_rejected(self):
+        # a str would otherwise bind one slot per character
+        with pytest.raises(GraphError, match="slot ids must be a sequence of strings"):
+            FactorBinding((0, 1), LowRankPayload("p"), "ab")
+
     def test_payload_shape_mismatch_rejected(self):
         for table in (np.ones((2, 3)), np.ones(()), np.ones((2, 0))):
             with pytest.raises(GraphError, match="factor 1"):

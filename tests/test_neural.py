@@ -554,6 +554,37 @@ class TestInit:
         with pytest.raises(ValueError, match=f"slot_ids has 3 ids but {name} has 2 rows"):
             LayerParams(("a", "b", "c"), named)
 
+    # `value` replaces the array `name`, or with None deletes it
+    @pytest.mark.parametrize("ids, name, value, match", [
+        (("p/0", "p/1", "p/2"), "slot/w_out", np.ones((3, 3, 4)),
+         r"slot/w_out has shape \(3, 3, 4\), expected \(3, 3, 2\)"),
+        (("p/0", "p/1", "p/2"), "mlp/w2", np.ones((3, 5)), r"mlp/w2 has shape \(3, 5\), expected \(3, 6\)"),
+        (("p/0", "p/1", "p/2"), "slot/w_in", np.ones((3, 3)), r"slot/w_in has shape \(3, 3\), expected"),
+        (("p/0", "p/0", "p/1"), "mlp/b2", np.ones(3), "repeated slot id 'p/0'"),
+        (("p/0", "p/1", "p/2"), "mlp/b2", None, "arrays lack mlp/b2"),
+        (("p/0", "p/1", "p/2"), "readout/b", None, "arrays lack readout/b"),
+        (("p/0", "p/1", "p/2"), "mlp/b3", np.ones(3), "arrays hold 'mlp/b3'"),
+    ])
+    def test_table_refused(self, ids, name, value, match):
+        # each would fail later: in lrbp_forward's matmul, or when its checkpoint is loaded
+        named = named_arrays(init_layer_params(["p/0", "p/1", "p/2"], d_h=3, rank=2))
+        if value is None:
+            del named[name]
+        else:
+            named[name] = value
+        with pytest.raises(ValueError, match=match):
+            LayerParams(ids, named)
+
+    def test_table_is_its_own(self):
+        # the caller's dict, in any order, is copied into table order, not aliased
+        p = init_layer_params(["a", "b"], d_h=3, rank=2, seed=1)
+        named = dict(reversed(named_arrays(p).items()))
+        q = LayerParams(p.slot_ids, named)
+        named["mlp/b2"] = np.zeros(3)
+        assert list(q.arrays) == list(p.arrays)
+        assert all(q.arrays[k] is a for k, a in p.arrays.items())
+        assert q.slot_rows == {"a": 0, "b": 1}
+
     def test_sizes_stored_as_python_ints(self):
         p = init_layer_params(["a"], d_h=np.int64(3), rank=np.int32(2), out_dim=np.int64(2))
         assert type(p.d_h) is int and type(p.rank) is int
