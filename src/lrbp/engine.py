@@ -16,15 +16,17 @@ products run along axis 0. Errors and warnings still name edges in the edge
 order of `lrbp.graph`. The factor groups are the layout's blocks, built with
 the graph, and a low-rank block's (n, F, d, R) CP weights are `g.cp_blocks`,
 gathered from the params by the graph's first solve, so a later solve
-gathers nothing. A low-rank block holds the factors of one (arity n, rank
-R): it projects its (n, F, d) rows through its weights, takes the
-leave-one-out Hadamard product over the slot axis and maps back,
-O(n * d * R) per factor.
+gathers nothing. `run_lbp` pairs each block, in block order, with its
+kernel and payload, and one loop runs them all. A low-rank block holds the
+factors of one (arity n, rank R): it projects its (n, F, d) rows through its
+weights, takes the leave-one-out Hadamard product over the slot axis and
+maps back, O(n * d * R) per factor.
 The dense block of one arity goes in one call, by recursive halving: two
 matrix-vector products, against the outer products of the first and of the
 last half of a factor's rows, reduce its table to two tables of half the
 arity, whose messages are the factor's, and the halves recurse, batched over
-the block, down to arity 1. Those two products are the only reads of a
+the block, down to arity 1. The outer products are `tensors._outer`, which
+also fixes the axis order of every table. Those two products are the only reads of a
 table and run per factor, in place, so all n messages cost 2 * d**n
 multiply-adds plus terms of order d**ceil(n/2). Variables are bucketed
 by degree D: a bucket takes the leave-one-out product of its (D, V, d) rows
@@ -47,7 +49,7 @@ import numpy as np
 # No solve calls factor_cp; the alias stays because benchmarks/test_bench.py
 # checks that the benchmark's tracer wraps it here.
 from .graph import FactorGraph, _views, factor_cp, joint_table  # noqa: F401
-from .tensors import _integer, leave_one_out
+from .tensors import _integer, _outer, leave_one_out
 
 NEGATIVE_TOL = -1e-12
 
@@ -118,15 +120,6 @@ def _lowrank_messages(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("nfdr,nfr->nfd", w, leave_one_out(gamma))
 
 
-def _outer(rows: np.ndarray) -> np.ndarray:
-    """(F, d**j) outer products of slot-major (j, F, d) rows, row 0 the
-    slowest axis, built from the last row forward."""
-    acc = rows[-1]
-    for row in rows[-2::-1]:
-        acc = (row[:, :, None] * acc[:, None, :]).reshape(len(acc), -1)
-    return acc
-
-
 def _halve(t: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
     """Write into `out` the (j, F, d) messages of F j-ary tables, the rows of
     `t` (F, d**j), for slot-major rows `m` (j, F, d): the step of
@@ -183,8 +176,8 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     undamped update bit for bit). Messages start uniform. The result's trace
     holds (iteration, delta) for every iteration run.
 
-    A zero-mass message raises ZeroMessageError, naming the first in edge
-    order; a non-finite one raises FloatingPointError. Low-rank messages with
+    A zero-mass message or belief raises ZeroMessageError, naming the first
+    in edge order; a non-finite one raises FloatingPointError. Low-rank messages with
     negative entries (mixed-sign weights) give one SignViolationWarning per
     run, with their count, the most negative entry and the first of them.
     A max_iters that is not an integer >= 0, a tol that is not positive or
@@ -205,11 +198,12 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
     into_blocks, raw_f2v = np.empty((var.size, d)), np.empty((var.size, d))
     buckets = [(vs, g.unary[vs], *views) for (vs, _), views
                in zip(lay.buckets, _views(lay.buckets, into_buckets, raw_v2f))]
-    blocks = _views(lay.lowrank + lay.dense, into_blocks, raw_f2v)
-    lowrank = [(w, *views) for w, views in zip(g.cp_blocks, blocks)]
-    # dense tables are read in place, since a stack would copy every table
-    dense = [([g.factors[a].payload.table for a in ids.tolist()], *views)
-             for (ids, _), views in zip(lay.dense, blocks[len(lowrank):])]
+    # each block in block order with its kernel and payload: CP weights, or
+    # dense tables read in place, since a stack would copy every table
+    kernels = [(_lowrank_messages, w) for w in g.cp_blocks] + [
+        (_dense_messages, [g.factors[a].payload.table for a in ids.tolist()])
+        for ids, _ in lay.dense]
+    blocks = list(zip(kernels, _views(lay.lowrank + lay.dense, into_blocks, raw_f2v)))
     num_lowrank = sum(e.size for _, e in lay.lowrank)  # the low-rank rows come first
     v2f = f2v = np.full((var.size, d), 1.0 / d)  # never written in place
     trace: list[tuple[int, float]] = []
@@ -227,14 +221,12 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
             if opts.damping:
                 new_v2f = (1.0 - opts.damping) * new_v2f + opts.damping * v2f
             np.take(new_v2f, lay.to_blocks, axis=0, out=into_blocks, mode="clip")
-            for w, incoming, out in lowrank:
-                out[...] = _lowrank_messages(w, incoming)
+            for (kernel, payload), (incoming, out) in blocks:
+                out[...] = kernel(payload, incoming)
             low = raw_f2v[:num_lowrank]
             if low.min(initial=0.0) < NEGATIVE_TOL:
                 bad = np.flatnonzero((low < NEGATIVE_TOL).any(axis=1))
                 negative.append((lay.block_edges[bad].min(), bad.size, low[bad].min()))
-            for tables, incoming, out in dense:
-                out[...] = _dense_messages(tables, incoming)
             new_f2v = _normalize(raw_f2v, "message {}->{}", fac, var, edges=lay.block_edges)
             if opts.damping:
                 new_f2v = (1.0 - opts.damping) * new_f2v + opts.damping * f2v
@@ -259,6 +251,9 @@ def run_lbp(g: FactorGraph, opts: LBPOptions | None = None) -> BeliefSet:
         for vs, _, incoming, _ in buckets:
             beliefs[vs] *= incoming.prod(axis=0)
         beliefs = _normalize(beliefs, "belief of variable {}", range(g.num_vars))
+    bad = np.flatnonzero(~np.isfinite(beliefs).all(axis=1))
+    if bad.size:  # a unary that no message read: in no factor, or with max_iters=0
+        raise FloatingPointError(f"non-finite belief of variable {bad[0]}")
 
     if negative:
         e = negative[0][0]

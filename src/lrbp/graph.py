@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .tensors import CPFactor, _check_capacity, _float_array, _integer, _slot_ids, cp_expand
+from .tensors import CPFactor, _check_capacity, _float_array, _integer, _shaped, _slot_ids, cp_expand
 
 
 class GraphError(ValueError):
@@ -324,12 +324,9 @@ def build_graph(
 
     try:
         unary = _float_array(np.ones((num_vars, cardinality)) if unary is None else unary, "unary")
+        unary = _shaped(unary, (num_vars, cardinality), "unary")
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
-    if num_vars == 0 and unary.shape == (0,):  # JSON keeps no shape for an empty array
-        unary = unary.reshape(0, cardinality)
-    if unary.shape != (num_vars, cardinality):
-        raise GraphError(f"unary has shape {unary.shape}, expected {(num_vars, cardinality)}")
 
     return FactorGraph(
         num_vars=num_vars,
@@ -363,19 +360,23 @@ def joint_table(g: FactorGraph) -> tuple[np.ndarray, float]:
 
     The exact-inference oracle: multiplies every factor table (low-rank
     payloads expanded) and the unary potentials over the d**num_vars grid.
-    Raises CapacityError past CAPACITY elements and GraphError when Z == 0.
+    Raises CapacityError past CAPACITY elements and GraphError when Z is 0
+    or not finite, and then no NumPy warning.
     """
     d, n = g.cardinality, g.num_vars
     _check_capacity(d, n, f"joint table over {n} variables")
     # a plain product, not np.einsum, which turns a -0.0 product into +0.0
     joint = np.ones((d,) * n)
-    for i in range(n):
-        joint = joint * _on_axes(g.unary[i], (i,), n)
-    for a, binding in enumerate(g.factors):
-        joint = joint * _on_axes(factor_table(g, a), binding.scope, n)
-    z = float(joint.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Z is refused below
+        for i in range(n):
+            joint = joint * _on_axes(g.unary[i], (i,), n)
+        for a, binding in enumerate(g.factors):
+            joint = joint * _on_axes(factor_table(g, a), binding.scope, n)
+        z = float(joint.sum())
     if z == 0.0:
         raise GraphError("degenerate distribution: joint table has zero total mass")
+    if not np.isfinite(z):
+        raise GraphError(f"degenerate distribution: joint table has total mass {z}")
     return joint, z
 
 

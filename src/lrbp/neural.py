@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .graph import FactorGraph, _views
-from .tensors import _float_array, _integer, _slot_ids, leave_one_out, leave_one_out_tangent
+from .tensors import _float_array, _integer, _shaped, _slot_ids, leave_one_out, leave_one_out_tangent
 
 # Adam's decay rates and denominator offset
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -77,7 +77,8 @@ class LayerParams:
     converted) under the names and shapes of `_shapes`, with sizes read from
     slot/w_in, mlp/b1 and readout/b; `slot_rows` maps each slot id to its
     row. Slot ids outside the input contract of `lrbp.tensors` or repeated,
-    a missing or extra name or a wrong shape raise ValueError naming them.
+    a missing or extra name, an entry that is not an np.ndarray of dtype kind
+    f, i or u, or a wrong shape raise ValueError naming them.
     """
 
     slot_ids: tuple[str, ...]
@@ -96,7 +97,11 @@ class LayerParams:
         for name in given.keys() - want.keys():
             raise ValueError(f"arrays hold {name!r}, a name outside the table")
         for name, shape in want.items():
-            got = np.shape(arrays[name])
+            x = arrays[name]
+            if not isinstance(x, np.ndarray) or x.dtype.kind not in "fiu":
+                what = f"dtype {x.dtype}" if isinstance(x, np.ndarray) else type(x).__name__
+                raise ValueError(f"{name} must be a NumPy array of real numbers, got {what}")
+            got = x.shape
             if got != shape:
                 if name.startswith("slot/") and got[1:] == shape[1:]:
                     raise ValueError(f"slot_ids has {len(rows)} ids but {name} has {got[0]} rows")
@@ -367,17 +372,28 @@ def train_step(
     whose loss, gradients or new Adam second moments (squared gradients) are
     not finite, or whose forward pass raises `FloatingPointError` on any graph
     (a non-finite message or input), aborts: it returns the parameters and
-    optimizer state it was given, and loss NaN. An empty batch, or a graph
-    without nodes, raises ValueError before any forward pass. Returns
+    optimizer state it was given, and loss NaN. An empty batch, a graph
+    without nodes, an `lr` that is not a finite real >= 0, or a target that
+    is not out_dim real numbers raises ValueError before any forward pass,
+    naming the target by its position in the batch. Returns
     (params, opt_state, loss).
     """
     if not batch or any(g.num_vars == 0 for g, _, _ in batch):
         raise ValueError("train_step needs a non-empty batch of non-empty graphs")
+    if isinstance(lr, bool) or not isinstance(lr, (int, float, np.integer, np.floating)) \
+            or not 0 <= lr < np.inf:
+        raise ValueError(f"lr must be a finite real >= 0, got {lr!r}")
+    out_dim, targets = p.arrays["readout/b"].size, []
+    for i, (_, _, target) in enumerate(batch):
+        target = _float_array(target, f"batch[{i}] target", copy=False)
+        if target.size != out_dim:
+            raise ValueError(f"batch[{i}] target has size {target.size}, "
+                             f"expected out_dim {out_dim}")
+        targets.append(target.reshape(out_dim))
     named = named_arrays(p)
     grads = {k: np.zeros_like(a) for k, a in named.items()}
     total_loss = 0.0
-    for g, h0, target in batch:
-        target = np.atleast_1d(_float_array(target, "target", copy=False))
+    for (g, h0, _), target in zip(batch, targets):
         try:
             h_t, tapes = forward_stack(h0, g, p, layers)
         except FloatingPointError:
@@ -454,15 +470,8 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
     want = _shapes(len(slot_ids), d_h, rank, d_mlp, out_dim)
 
     def table(node, prefix, what):
-        out = {}
-        for name, shape in want.items():
-            x = entry(arr, node, name, prefix)
-            if x.size == 0 and 0 in shape:  # JSON keeps no shape for an empty array
-                x = x.reshape(shape)
-            if x.shape != shape:
-                raise ValueError(f"checkpoint {what}{name} has shape {x.shape}, expected {shape}")
-            out[name] = x
-        return out
+        return {name: _shaped(entry(arr, node, name, prefix), shape, f"checkpoint {what}{name}")
+                for name, shape in want.items()}
 
     p = LayerParams(slot_ids, table(arrays, "", "array "))
     opt = doc.get("optimizer")

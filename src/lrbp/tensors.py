@@ -1,6 +1,7 @@
 """Low-rank (CP) factors, the expansion of a CP factor to its dense table,
-the leave-one-out product kernel that LBP and the neural layer share, with
-its derivative for the neural layer's backward, and the input contract.
+the outer products that fix a dense table's axis order, the leave-one-out
+product kernel that LBP and the neural layer share, with its derivative for
+the neural layer's backward, and the input contract.
 
 The input contract holds for every size and real array that lrbp takes from
 a caller or a file. A size is a Python or NumPy integer, not a bool, and is
@@ -9,6 +10,8 @@ stored as C-contiguous float64 (`_float_array`): strings, bools, None and
 complex values are refused, not converted (NumPy reads a bool among numbers
 as a number, though). Slot ids are a sequence of `str`, not a str itself
 (`_slot_ids`); those that name the rows of a parameter table do not repeat.
+An array read from JSON, which keeps no shape for an empty array, meets its
+expected shape through `_shaped`, where (0,) stands for any empty shape.
 A refusal is a ValueError naming the field, raised by `lrbp.graph` as a
 GraphError.
 
@@ -18,11 +21,12 @@ slabs. `leave_one_out` keeps a cumprod branch for a slot axis longer than one
 slab; the derivative runs the same scan over dual numbers.
 
 A dense table is a plain (d,) * m float64 array holding every entry of an
-order-m potential; a CP factor stores one (m, d, R) weight array W and
-represents the table T(i_1..i_m) = sum_r prod_j W[j, i_j, r]. Rank-1 scale
-coefficients are always absorbed into the weights, so there is no separate
-scale vector. A CP factor owns its weights, as a graph owns every array it
-holds: it copies them once and marks the copy read-only.
+order-m potential, its axes in the order of `_outer`; a CP factor stores one
+(m, d, R) weight array W and represents the table T(i_1..i_m) =
+sum_r prod_j W[j, i_j, r]. Rank-1 scale coefficients are always absorbed
+into the weights, so there is no separate scale vector. A CP factor owns its
+weights, as a graph owns every array it holds: it copies them once and marks
+the copy read-only.
 """
 from __future__ import annotations
 
@@ -104,6 +108,14 @@ def _float_array(x, field: str, copy: bool = True) -> np.ndarray:
     return a.astype(np.float64, order="C", copy=copy and not isinstance(x, (list, tuple)))
 
 
+def _shaped(x: np.ndarray, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """`x` of `shape`, where a (0,) array, all that JSON keeps of any empty
+    array, takes an empty `shape`; otherwise ValueError naming `field`."""
+    if x.shape != shape and not (x.shape == (0,) and 0 in shape):
+        raise ValueError(f"{field} has shape {x.shape}, expected {shape}")
+    return x if x.shape == shape else x.reshape(shape)
+
+
 def _slot_ids(ids, field: str, unique: bool = False, error: type = ValueError):
     """`ids` as a tuple under the input contract, or with `unique` as the
     {id: position} dict of ids that do not repeat; otherwise `error` naming
@@ -130,11 +142,18 @@ def cp_expand(f: CPFactor) -> np.ndarray:
     exceeds CAPACITY.
     """
     _check_capacity(f.cardinality, f.arity, f"expansion of arity-{f.arity} factor")
-    # column-wise Kronecker product of the slot matrices, the first varying slowest
-    rows = f.weights[0]
-    for w in f.weights[1:]:
-        rows = (rows[:, None, :] * w[None, :, :]).reshape(-1, f.rank)
-    return rows.sum(axis=1).reshape((f.cardinality,) * f.arity)
+    # the outer product of each rank-1 component's slot vectors, summed
+    return _outer(f.weights.transpose(0, 2, 1)).sum(axis=0).reshape((f.cardinality,) * f.arity)
+
+
+def _outer(rows: np.ndarray) -> np.ndarray:
+    """(F, d**j) outer products of slot-major (j, F, d) rows, row 0 the
+    slowest axis, built from the last row forward: the axis order of a dense
+    table, by which `cp_expand` builds one and LBP's dense kernel reads it."""
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = (row[:, :, None] * acc[:, None, :]).reshape(len(acc), -1)
+    return acc
 
 
 def cp_random(arity: int, d: int, rank: int, seed: int) -> CPFactor:

@@ -339,6 +339,21 @@ class TestRunLBP:
                                match=r"^non-finite message \(1, 0\) at iteration 1$"):
                 run_lbp(g)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_unary_of_a_variable_in_no_factor_raises(self, value):
+        # no message reads the unary of variables 2 and 3, so only their
+        # beliefs show it; with max_iters=0 no message reads variable 1's either
+        def graph(unary):
+            return build_graph(4, 2, [FactorBinding((0, 1), DensePayload(np.eye(2)))], unary=unary)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=r"^non-finite belief of variable 2$"):
+                run_lbp(graph([[1.0, 1.0], [1.0, 1.0], [1.0, value], [value, 1.0]]))
+            with pytest.raises(FloatingPointError, match=r"^non-finite belief of variable 1$"):
+                run_lbp(graph([[1.0, 1.0], [value, 1.0], [1.0, 1.0], [1.0, value]]),
+                        LBPOptions(max_iters=0))
+
     def test_infinite_cp_weight_raises_non_finite_without_runtime_warnings(self):
         # the variable-to-factor messages of iteration 1 are finite and only the
         # low-rank factor's outgoing ones are not: the first of them is named
@@ -567,15 +582,16 @@ class TestEdgeLayout:
                   *g.cp_blocks]
         assert len(g.cp_blocks) == 3 and not any(x.flags.writeable for x in arrays)
 
-    @pytest.mark.parametrize("bad", [
-        FactorBinding((0, 9), DensePayload(np.ones((2, 2)))),
-        FactorBinding((0, 1), LowRankPayload("missing")),
-        FactorBinding((0, 1, 2), LowRankPayload("p")),
+    @pytest.mark.parametrize("bad, match", [
+        (FactorBinding((0, 9), DensePayload(np.ones((2, 2)))), r"variable 9 out of range \[0, 3\)"),
+        (FactorBinding((0, 1), LowRankPayload("missing")), "unknown param_id 'missing'"),
+        (FactorBinding((0, 1, 2), LowRankPayload("p")), "low-rank arity 2 != scope length 3"),
+        (FactorBinding((0, 1), "table"), "unknown payload type str"),
     ])
-    def test_invalid_binding_raises_before_the_layout(self, monkeypatch, bad):
+    def test_invalid_binding_raises_before_the_layout(self, monkeypatch, bad, match):
         builds = self.count_layout_builds(monkeypatch)
         good = FactorBinding((1, 2), LowRankPayload("p"))
-        with pytest.raises(GraphError, match="factor 1"):
+        with pytest.raises(GraphError, match=f"^factor 1: {match}$"):
             build_graph(3, 2, [good, bad, good], params={"p": cp_random(2, 2, 2, seed=0)})
         assert builds == []
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from lrbp.graph import (
     GraphError,
     LowRankPayload,
     build_graph,
+    factor_cp,
+    factor_slots,
     joint_table,
     load_graph,
     save_graph,
@@ -207,6 +210,13 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match=match):
             build_graph(2, 2, bindings, params={"ok": cp_random(2, 2, 1, seed=0), "bad": value})
 
+    def test_dense_factor_has_no_cp_factor_or_derived_slots(self):
+        g = build_graph(2, 2, [FactorBinding((0, 1), DensePayload(np.ones((2, 2))))])
+        with pytest.raises(GraphError, match="^factor 0 has no low-rank payload$"):
+            factor_cp(g, 0)
+        with pytest.raises(ValueError, match="^factor 0 has no low-rank payload; cannot derive slots$"):
+            factor_slots(g, 0)
+
     def test_lowrank_requires_known_param(self):
         with pytest.raises(GraphError, match="param_id"):
             build_graph(2, 2, [FactorBinding((0, 1), LowRankPayload("missing"))])
@@ -367,6 +377,22 @@ class TestJointTable:
         with pytest.raises(GraphError, match="zero total mass"):
             joint_table(g)
 
+    @pytest.mark.parametrize("table, unary, mass", [
+        (np.ones((2, 2)), [[np.nan, 1.0], [1.0, 1.0]], "nan"),
+        (np.ones((2, 2)), [[np.inf, 1.0], [1.0, 1.0]], "inf"),
+        # inf times the table's zero entry
+        (np.eye(2), [[np.inf, 1.0], [1.0, 1.0]], "nan"),
+        # finite entries whose product overflows
+        (np.eye(2), [[1e200, 1.0], [1e200, 1.0]], "inf"),
+    ])
+    def test_non_finite_mass_rejected_without_runtime_warnings(self, table, unary, mass):
+        g = build_graph(2, 2, [FactorBinding((0, 1), DensePayload(table))], unary=unary)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for solve in (joint_table, exact_marginals):
+                with pytest.raises(GraphError, match=f"joint table has total mass {mass}$"):
+                    solve(g)
+
 
 class TestGraphFile:
     def make_graph(self):
@@ -477,6 +503,13 @@ class TestGraphFile:
         ("params", "", "params an object"),
         ("params", False, "params an object"),
         ("unary", [[1.0, "x"], [1.0, 1.0]], "unary"),
+        ("unary", [[1.0, 1.0]], r"^unary has shape \(1, 2\), expected \(2, 2\)$"),
+        ("unary", [], r"^unary has shape \(0,\), expected \(2, 2\)$"),
+        ("factors/0/scope", [], "^factor 0: empty scope$"),
+        ("factors/0/slots", ["a"], "^factor 0: slot_ids length 1 != scope length 2$"),
+        ("factors/0/payload", {"kind": "lowrank"}, "^factor 0: missing field 'param_id'$"),
+        ("params/p", {"arity": 2, "d": 3, "rank": 1, "weights": [[[1.0]] * 3] * 2},
+         "^factor 0: low-rank cardinality 3 != 2$"),
         # ragged, and of rank 2 where the spec says 1
         ("params/p/weights", [[[1.0], [1.0]], [[1.0]]], r"param 'p'.*expected shape \(2, 2, 1\)"),
         ("params/p/weights", [[[1.0, 1.0]] * 2] * 2, r"param 'p'.*expected shape \(2, 2, 1\)"),

@@ -139,15 +139,20 @@ class TestForward:
         with pytest.raises(ValueError, match="factor 0: unmapped slot id 'a'"):
             lrbp_forward(h, g, init_layer_params(["a\x00"], d_h=2, rank=2))
 
-    @pytest.mark.parametrize("values", [
-        [["1.5", "2"], ["0", "1"]],
-        [[True, False], [False, True]],
-        [[None, 1.0], [1.0, 1.0]],
-        [[1j, 0.0], [0.0, 0.0]],
-    ], ids=["strings", "bools", "none", "complex"])
-    def test_states_must_be_real_numbers(self, values):
-        with pytest.raises(ValueError, match="hidden states must be real numbers"):
-            HiddenStates(np.array(values))
+    # the states must also be 2-d, and (num_vars, d_h) for the graph
+    @pytest.mark.parametrize("values, match", [
+        ([["1.5", "2"], ["0", "1"]], "hidden states must be real numbers"),
+        ([[True, False], [False, True]], "hidden states must be real numbers"),
+        ([[None, 1.0], [1.0, 1.0]], "hidden states must be real numbers"),
+        ([[1j, 0.0], [0.0, 0.0]], "hidden states must be real numbers"),
+        ([1.0, 0.0], r"^hidden states must be 2-d, got shape \(2,\)$"),
+        ([[1.0, 0.0]] * 3, r"^hidden states have shape \(3, 2\), expected \(2, 2\)$"),
+    ], ids=["strings", "bools", "none", "complex", "one-d", "wrong-shape"])
+    def test_states_must_be_real_numbers(self, values, match):
+        g = lowrank_graph(2, [(0, 1)])
+        p = init_layer_params(graph_slot_ids(g), d_h=2, rank=2)
+        with pytest.raises(ValueError, match=match):
+            lrbp_forward(HiddenStates(np.array(values)), g, p)
 
     def test_non_finite_input_rejected(self):
         g = lowrank_graph(2, [(0, 1)])
@@ -564,6 +569,13 @@ class TestInit:
         (("p/0", "p/1", "p/2"), "mlp/b2", None, "arrays lack mlp/b2"),
         (("p/0", "p/1", "p/2"), "readout/b", None, "arrays lack readout/b"),
         (("p/0", "p/1", "p/2"), "mlp/b3", np.ones(3), "arrays hold 'mlp/b3'"),
+        # arrays are taken as they are, so each must already be a real NumPy array
+        (("p/0", "p/1", "p/2"), "slot/w_in", np.ones((3, 3, 2)).tolist(),
+         "^slot/w_in must be a NumPy array of real numbers, got list$"),
+        (("p/0", "p/1", "p/2"), "mlp/b2", np.array(["a", "b", "c"]),
+         "^mlp/b2 must be a NumPy array of real numbers, got dtype <U1$"),
+        (("p/0", "p/1", "p/2"), "readout/w", np.ones((1, 3), dtype=bool),
+         "^readout/w must be a NumPy array of real numbers, got dtype bool$"),
     ])
     def test_table_refused(self, ids, name, value, match):
         # each would fail later: in lrbp_forward's matmul, or when its checkpoint is loaded
@@ -766,6 +778,41 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="non-empty batch"):
             train_step([], p, None)
 
+    @pytest.mark.parametrize("lr, target, match", [
+        (np.nan, [1.0, 2.0], "^lr must be a finite real >= 0, got nan$"),
+        (np.inf, [1.0, 2.0], "^lr must be a finite real >= 0, got inf$"),
+        (-1e-3, [1.0, 2.0], "^lr must be a finite real >= 0, got -0.001$"),
+        (True, [1.0, 2.0], "^lr must be a finite real >= 0, got True$"),
+        ("0.1", [1.0, 2.0], "^lr must be a finite real >= 0, got '0.1'$"),
+        (None, [1.0, 2.0], "^lr must be a finite real >= 0, got None$"),
+        # out_dim is 2: no target is broadcast to it
+        (1e-3, 1.0, "^batch\\[1\\] target has size 1, expected out_dim 2$"),
+        (1e-3, [1.0], "^batch\\[1\\] target has size 1, expected out_dim 2$"),
+        (1e-3, [1.0, 2.0, 3.0], "^batch\\[1\\] target has size 3, expected out_dim 2$"),
+        (1e-3, ["1", "2"], "^batch\\[1\\] target must be real numbers"),
+    ])
+    def test_lr_and_targets_rejected_before_any_forward_pass(self, monkeypatch, lr, target, match):
+        g, _, h0 = self.make_sample()
+        p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, out_dim=2)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr(neural, "forward_stack", no_forward)
+        with pytest.raises(ValueError, match=match):
+            train_step([(g, h0, [0.5, 0.5]), (g, h0, target)], p, None, lr=lr)
+
+    def test_lr_of_any_real_type_and_two_d_targets_accepted(self):
+        # a (1, out_dim) target trains like its (out_dim,) row
+        g, _, h0 = self.make_sample()
+        p = init_layer_params(graph_slot_ids(g), d_h=4, rank=3, out_dim=2)
+        want = train_step([(g, h0, np.array([0.5, -0.5]))], p, None, lr=1e-3)
+        for lr in (np.float64(1e-3), np.float32(1e-3), 0, np.int64(0)):
+            assert np.isfinite(train_step([(g, h0, [0.5, -0.5])], p, None, lr=lr)[2])
+        got = train_step([(g, h0, np.array([[0.5, -0.5]]))], p, None, lr=1e-3)
+        assert got[2] == want[2]
+        assert all(same_bits(got[0].arrays[k], a) for k, a in want[0].arrays.items())
+
     def test_empty_graph_rejected_before_any_forward_pass(self, monkeypatch):
         g, p, h0 = self.make_sample()
         empty = (build_graph(0, 2, []), HiddenStates(np.zeros((0, 4))), np.array([1.0]))
@@ -887,6 +934,21 @@ class TestCheckpoint:
             parent[key] = value
         file.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
+            load_checkpoint(file)
+
+    def test_empty_array_loads_only_as_written(self, tmp_path):
+        # save_checkpoint writes the (0, 3, 2) slot arrays of a table without
+        # slots as [], which keeps no shape; [[]], of shape (1, 0), is refused
+        p = init_layer_params([], d_h=3, rank=2, d_mlp=4, seed=0)
+        file = tmp_path / "ckpt.json"
+        save_checkpoint(p, file)
+        assert load_checkpoint(file)[0].arrays["slot/w_in"].shape == (0, 3, 2)
+        doc = json.loads(file.read_text())
+        assert doc["arrays"]["slot/w_in"] == []
+        doc["arrays"]["slot/w_in"] = [[]]
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^checkpoint array slot/w_in has shape \(1, 0\), "
+                                             r"expected \(0, 3, 2\)$"):
             load_checkpoint(file)
 
     def test_per_slot_layout_rejected(self, tmp_path):
