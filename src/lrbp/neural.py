@@ -21,9 +21,17 @@ other order through one gather (`g.slots.to_blocks`, `from_blocks`); each
 degree bucket sums its slot-order rows, `g.slots.buckets`, which are built
 with the slot index, not per layer. Errors still name edges in the edge
 order of `lrbp.graph`.
-Graph slots bind to parameter rows by slot id. Its hand-derived backward
-takes the leave-two-out sums from `tensors.leave_one_out_tangent`, the same
-slab scan over dual numbers, never by division.
+Graph slots bind to parameter rows by slot id. What the layers of one stack
+share, since it depends only on the graph, the params and the layer count,
+is built once per `forward_stack` into a plan that every layer reads and
+each tape carries to the backward: each slot group's parameter rows and its
+gathered slot/w_in and slot/w_out rows, every layer's u and loo in one
+buffer, one scratch buffer per edge array the forward or backward overwrites,
+and each group and block view of them. A plan lives for one stack and is
+never cached, so an in-place edit of the params reaches the next stack; a
+lone `lrbp_forward` builds its own. Its hand-derived backward takes the
+leave-two-out sums from `tensors.leave_one_out_tangent`, the same slab scan
+over dual numbers, never by division.
 Parameters are read-only during a step; all update functions return fresh structures.
 
 A `LayerParams` holds its slot ids and one table of arrays keyed by name.
@@ -172,16 +180,49 @@ def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
     return LayerParams(p.slot_ids, named)
 
 
+class _Plan:
+    """One stack's plan (see the module docstring); `layers` sizes its
+    per-layer buffers, and an unmapped slot id raises ValueError naming its
+    first edge. The forward of layer l fills u[l] and loo[l] and uses the
+    rest as scratch, and so does each backward."""
+
+    def __init__(self, g: FactorGraph, p: LayerParams, layers: int):
+        sl, blocks = g.slots, g.layout.lowrank + g.layout.dense
+        rows = np.array([p.slot_rows.get(sid, -1) for sid in sl.ids], dtype=np.intp)
+        if np.any(rows < 0):  # ids are in first-appearance order, so the first bad edge is named
+            k = np.flatnonzero(rows < 0)[0]
+            raise ValueError(f"factor {g.layout.fac[sl.slot == k][0]}: unmapped slot id {sl.ids[k]!r}")
+        # per slot group, the rows of p's slot arrays of its slots, and those rows of each
+        self.rows = tuple(rows[s] for s, _ in sl.groups)
+        self.w_in, self.w_out = (tuple(p.arrays[name][r] for r in self.rows)
+                                 for name in ("slot/w_in", "slot/w_out"))
+        num_edges, d_h, rank = sl.var.size, p.d_h, p.rank
+        # (E, R) per layer: u in block order, W_in^T h of each edge's node, and
+        # loo in slot order, the Hadamard product of the other slots' u in its factor
+        self.u, self.loo = np.empty((2, layers, num_edges, rank))
+        # scratch: the forward's state gather, later its messages, and u in slot
+        # order, later loo in block order; the backward's dmsg, dloo and du
+        self.states, self.dmsg = np.empty((2, num_edges, d_h))
+        self.u_slots, self.dloo, self.du = np.empty((3, num_edges, rank))
+        # every view the layers take, per slot group or factor block
+        self.group_rows = _views(sl.groups, self.states, self.u_slots, self.dmsg, self.dloo)
+        self.block_rows = _views(blocks, self.u_slots, self.du)
+        self.u_blocks = [[x for (x,) in _views(blocks, u)] for u in self.u]
+        self.loo_groups = [[x for (x,) in _views(sl.groups, loo)] for loo in self.loo]
+
+
 @dataclass
 class Tape:
-    """Forward intermediates needed by the hand-derived backward pass."""
+    """Forward intermediates needed by the hand-derived backward pass. The
+    layer's u and loo are row `layer` of its plan's, and the tapes of one
+    stack share that plan, its gathered slot weights and its scratch: run
+    the backward passes of one stack one at a time, as backward_stack does."""
 
     params: LayerParams
     h_in: np.ndarray
-    graph: FactorGraph  # its layout and slots index the edge arrays below
-    rows: np.ndarray  # (S,): the row of params' slot arrays of each slot of graph.slots
-    u: np.ndarray  # (E, R) in block order: W_in^T h of each edge's node
-    loo: np.ndarray  # (E, R) in slot order: Hadamard product of the other slots' u in its factor
+    graph: FactorGraph  # its layout and slots index the plan's edge arrays
+    plan: _Plan
+    layer: int
     agg: np.ndarray
     z: np.ndarray  # MLP pre-activations
 
@@ -192,6 +233,13 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     Deterministic: repeated calls on identical inputs are bitwise equal.
     Raises on unmapped slot ids and on non-finite intermediates.
     """
+    return _layer(h, g, p, None, 0, 1)
+
+
+def _layer(h: HiddenStates, g: FactorGraph, p: LayerParams, plan: _Plan | None, layer: int,
+           layers: int) -> tuple[HiddenStates, Tape]:
+    """`lrbp_forward` as layer `layer` of a stack of `layers` with this plan,
+    which is built here when None."""
     values = h.values
     if values.shape != (g.num_vars, p.d_h):
         raise ValueError(
@@ -199,31 +247,27 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
         )
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("non-finite input hidden states")
+    plan = _Plan(g, p, layers) if plan is None else plan
 
     lay, sl, w = g.layout, g.slots, p.arrays
-    # rows[k]: the row of p's slot arrays for g's slot k
-    rows = np.array([p.slot_rows.get(sid, -1) for sid in sl.ids], dtype=np.intp)
-    if np.any(rows < 0):  # ids are in first-appearance order, so the first bad edge is named
-        k = np.flatnonzero(rows < 0)[0]
-        raise ValueError(f"factor {lay.fac[sl.slot == k][0]}: unmapped slot id {sl.ids[k]!r}")
-    # the state gather later holds msg, and u's slot-order buffer the block-order loo
-    states = np.take(values, sl.var, axis=0, mode="clip")
-    u_slots = np.empty((sl.var.size, p.rank))
+    msg, u_slots = plan.states, plan.u_slots
+    np.take(values, sl.var, axis=0, out=msg, mode="clip")
     # overflow shows as the non-finite message below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for (s, _), (x, out) in zip(sl.groups, _views(sl.groups, states, u_slots)):
-            np.matmul(x, w["slot/w_in"][rows[s]], out=out)  # (S_c, c, d_h) @ (S_c, d_h, R)
-        u = np.take(u_slots, sl.to_blocks, axis=0, mode="clip")
-        for x, out in _views(lay.lowrank + lay.dense, u, u_slots):
+        for w_in, (x, out, _, _) in zip(plan.w_in, plan.group_rows):
+            np.matmul(x, w_in, out=out)  # (S_c, c, d_h) @ (S_c, d_h, R)
+        np.take(u_slots, sl.to_blocks, axis=0, out=plan.u[layer], mode="clip")
+        for x, (out, _) in zip(plan.u_blocks[layer], plan.block_rows):
             out[...] = leave_one_out(x)
-        loo = np.take(u_slots, sl.from_blocks, axis=0, mode="clip")
-        msg = states
-        for (s, _), (x, out) in zip(sl.groups, _views(sl.groups, loo, msg)):
-            np.matmul(x, w["slot/w_out"][rows[s]].transpose(0, 2, 1), out=out)
-    bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
-    if bad.size:
-        e = sl.edges[bad].min()
-        raise FloatingPointError(f"non-finite message from factor {lay.fac[e]} into node {lay.var[e]}")
+        np.take(u_slots, sl.from_blocks, axis=0, out=plan.loo[layer], mode="clip")
+        for w_out, x, (out, _, _, _) in zip(plan.w_out, plan.loo_groups[layer], plan.group_rows):
+            np.matmul(x, w_out.transpose(0, 2, 1), out=out)
+        if not np.isfinite(msg.sum()):  # a finite sum may overflow, so the rows decide
+            bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
+            if bad.size:
+                e = sl.edges[bad].min()
+                raise FloatingPointError(
+                    f"non-finite message from factor {lay.fac[e]} into node {lay.var[e]}")
     agg = np.zeros_like(values)
     for vs, e in sl.buckets:
         agg[vs] = msg[e].sum(axis=0)  # each column in edge order
@@ -233,7 +277,7 @@ def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[Hidde
     out = np.maximum(z, 0.0) @ w["mlp/w2"].T
     out += w["mlp/b2"]
     out += values
-    return HiddenStates(out), Tape(params=p, h_in=values, graph=g, rows=rows, u=u, loo=loo,
+    return HiddenStates(out), Tape(params=p, h_in=values, graph=g, plan=plan, layer=layer,
                                    agg=agg, z=z)
 
 
@@ -254,29 +298,30 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
         raise ValueError(
             f"upstream gradient shape {upstream.shape} != states shape {tape.h_in.shape}"
         )
-    lay, sl, rows = tape.graph.layout, tape.graph.slots, tape.rows
+    sl, plan, layer = tape.graph.slots, tape.plan, tape.layer
+    dmsg, dloo, du = plan.dmsg, plan.dloo, plan.du
     with np.errstate(over="ignore", invalid="ignore"):
         grads["mlp/b2"] += upstream.sum(axis=0)
         grads["mlp/w2"] += upstream.T @ np.maximum(tape.z, 0.0)
         dz = (upstream @ w["mlp/w2"]) * (tape.z > 0)
         grads["mlp/b1"] += dz.sum(axis=0)
         grads["mlp/w1"] += dz.T @ tape.agg
-        dmsg = np.take(dz @ w["mlp/w1"], sl.var, axis=0, mode="clip")
-        dloo = np.empty_like(tape.loo)
-        for (s, _), (dm, loo, out) in zip(sl.groups, _views(sl.groups, dmsg, tape.loo, dloo)):
-            grads["slot/w_out"][rows[s]] += dm.transpose(0, 2, 1) @ loo
-            np.matmul(dm, w["slot/w_out"][rows[s]], out=out)
+        np.take(dz @ w["mlp/w1"], sl.var, axis=0, out=dmsg, mode="clip")
+        for r, w_out, loo, (_, _, dm, out) in zip(plan.rows, plan.w_out, plan.loo_groups[layer],
+                                                  plan.group_rows):
+            grads["slot/w_out"][r] += dm.transpose(0, 2, 1) @ loo
+            np.matmul(dm, w_out, out=out)
         # in block order, each block's du overwrites the dloo it was computed from
-        du = np.take(dloo, sl.to_blocks, axis=0, mode="clip")
-        for x, t in _views(lay.lowrank + lay.dense, tape.u, du):
+        np.take(dloo, sl.to_blocks, axis=0, out=du, mode="clip")
+        for x, (_, t) in zip(plan.u_blocks[layer], plan.block_rows):
             t[...] = leave_one_out_tangent(x, t)
         # dloo now holds du in slot order, and dmsg the state gather, then
         # group by group the gradient w.r.t. each edge's state
         np.take(du, sl.from_blocks, axis=0, out=dloo, mode="clip")
         np.take(tape.h_in, sl.var, axis=0, out=dmsg, mode="clip")
-        for (s, _), (x, d_u) in zip(sl.groups, _views(sl.groups, dmsg, dloo)):
-            grads["slot/w_in"][rows[s]] += x.transpose(0, 2, 1) @ d_u
-            np.matmul(d_u, w["slot/w_in"][rows[s]].transpose(0, 2, 1), out=x)
+        for r, w_in, (_, _, x, d_u) in zip(plan.rows, plan.w_in, plan.group_rows):
+            grads["slot/w_in"][r] += x.transpose(0, 2, 1) @ d_u
+            np.matmul(d_u, w_in.transpose(0, 2, 1), out=x)
         dh = upstream.copy()  # residual path
         for vs, e in sl.buckets:
             dh[vs] += dmsg[e].sum(axis=0)
@@ -286,11 +331,13 @@ def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]
 def forward_stack(
     h: HiddenStates, g: FactorGraph, p: LayerParams, layers: int
 ) -> tuple[HiddenStates, list[Tape]]:
-    """`layers` (an integer >= 0) forward passes with shared parameters."""
-    tapes = []
-    cur = h
-    for _ in range(_integer(layers, "layers", 0)):
-        cur, tape = lrbp_forward(cur, g, p)
+    """`layers` (an integer >= 0) forward passes with shared parameters; the
+    first builds the stack's plan, and every layer and tape shares it."""
+    tapes, cur, plan = [], h, None
+    layers = _integer(layers, "layers", 0)
+    for layer in range(layers):
+        cur, tape = _layer(cur, g, p, plan, layer, layers)
+        plan = tape.plan
         tapes.append(tape)
     return cur, tapes
 
@@ -398,14 +445,16 @@ def train_step(
             h_t, tapes = forward_stack(h0, g, p, layers)
         except FloatingPointError:
             return p, opt_state, float("nan")
-        resid = readout(h_t, p) - target
+        mean = node_mean(h_t.values)  # readout(h_t, p), with its mean taken once
+        resid = named["readout/w"] @ mean + named["readout/b"] - target
         total_loss += float(np.mean(np.abs(resid)))
         dpred = np.sign(resid) / resid.size
-        grads["readout/w"] += np.outer(dpred, node_mean(h_t.values))
+        grads["readout/w"] += np.outer(dpred, mean)
         grads["readout/b"] += dpred
         dmean = named["readout/w"].T @ dpred
         n_nodes = h_t.values.shape[0]
         backward_stack(tapes, np.tile(dmean / n_nodes, (n_nodes, 1)), grads)
+        del tapes  # so that one graph's plan and tapes are alive at a time
     scale = 1.0 / len(batch)
     total_loss *= scale
     grads = {k: v * scale for k, v in grads.items()}

@@ -16,9 +16,10 @@ A refusal is a ValueError naming the field, raised by `lrbp.graph` as a
 GraphError.
 
 Both kernels take the product along axis 0, the slot axis of the callers'
-slot-major gathers, and share one prefix/suffix scan over its contiguous
-slabs. `leave_one_out` keeps a cumprod branch for a slot axis longer than one
-slab; the derivative runs the same scan over dual numbers.
+slot-major gathers, by one prefix/suffix scan over its contiguous slabs
+(`_scan`). `leave_one_out` keeps a cumprod branch for a slot axis longer than
+one slab; the derivative runs the scan's order over dual numbers, on the
+values and tangents as two arrays.
 
 A dense table is a plain (d,) * m float64 array holding every entry of an
 order-m potential, its axes in the order of `_outer`; a CP factor stores one
@@ -71,13 +72,14 @@ class CPFactor:
         for name, minimum in _CP_SIZES:
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
         want = (self.arity, self.cardinality, self.rank)
-        expected = f"expected shape {want}: {self.arity} weight matrices of shape {want[1:]}"
         try:
             w = _float_array(self.weights, "weights")
+            problem = None if w.shape == want else f"weights have shape {w.shape}"
         except ValueError as exc:
-            raise ValueError(f"{exc}; {expected}") from None
-        if w.shape != want:
-            raise ValueError(f"weights have shape {w.shape}; {expected}")
+            problem = str(exc)
+        if problem is not None:  # formatted only here: a load builds thousands of factors
+            raise ValueError(f"{problem}; expected shape {want}: {self.arity} weight matrices "
+                             f"of shape {want[1:]}") from None
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -206,21 +208,32 @@ def leave_one_out(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dual_multiply(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(a[0] + eps a[1]) * (b[0] + eps b[1]) with eps**2 = 0, into `out`."""
-    eps_part = a[0] * b[1]
-    eps_part += a[1] * b[0]
-    np.multiply(a[0], b[0], out=out[0])
-    out[1] = eps_part
-    return out
-
-
 def leave_one_out_tangent(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The derivative of leave_one_out(x) along t: out[l] is the sum over
     k != l of t[k] times the product of x[m] over m != k, l, along the slot
     axis 0. It is the eps-part of leave_one_out over the dual numbers
-    x + eps*t, by the same slab scan over (product, eps-part) pairs: O(n)
-    multiplications, no division."""
-    if x.shape[0] < 2:
+    x + eps*t: `_scan`'s prefix/suffix order, on x and t in place of their
+    stack, where (a + eps a') * (b + eps b') has eps-part a*b' + a'*b, in
+    that order. So it agrees bit for bit with `_scan` over the stacked pairs.
+    O(n) multiplications, no division, and a slab of scratch."""
+    n = x.shape[0]
+    if n < 2:
         return np.zeros_like(x)
-    return _scan(np.stack((x, t), axis=1), _dual_multiply)[:, 1]
+    pre, out, tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x[0])
+    pre[1], out[1] = x[0], t[0]
+    for k in range(2, n):  # (pre, out)[k] = (pre, out)[k - 1] * (x, t)[k - 1]
+        np.multiply(out[k - 1], x[k - 1], out=tmp)
+        np.multiply(pre[k - 1], t[k - 1], out=out[k])
+        out[k] += tmp
+        np.multiply(pre[k - 1], x[k - 1], out=pre[k])
+    suf, d_suf = x[n - 1].copy(), out[0]  # s_k, ending as out[0] = s_0's eps-part
+    d_suf[...] = t[n - 1]
+    for k in range(n - 2, 0, -1):
+        np.multiply(out[k], suf, out=tmp)  # out[k] = eps-part of (pre, out)[k] * (suf, d_suf)
+        np.multiply(pre[k], d_suf, out=out[k])
+        out[k] += tmp
+        np.multiply(d_suf, x[k], out=tmp)  # (suf, d_suf) *= (x, t)[k]
+        np.multiply(suf, t[k], out=d_suf)
+        d_suf += tmp
+        suf *= x[k]
+    return out

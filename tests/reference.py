@@ -8,6 +8,10 @@ factor-to-variable by the kernel `run_lbp` batches. Every variable's factors
 come from the factor scopes, not from `g.layout`, so the reference shares no
 index structure with the engine it checks.
 
+`dual_scan_tangent` is the first form of `leave_one_out_tangent`, `_scan`
+over the stacked (value, tangent) pairs, which the kernel must match bit for
+bit.
+
 `grad_check` compares `lrbp.neural`'s hand-derived gradients against central
 differences of its forward pass. It looks the stack up in `lrbp.neural` on
 each call, so a test that patches a function there reaches it.
@@ -23,6 +27,7 @@ from lrbp import neural
 from lrbp.engine import NEGATIVE_TOL, SignViolationWarning, _lowrank_messages, _normalize
 from lrbp.graph import FactorGraph, factor_cp, factor_table
 from lrbp.neural import HiddenStates, LayerParams
+from lrbp.tensors import _scan
 
 
 @dataclass
@@ -128,6 +133,23 @@ def marginalize_product(arr: np.ndarray, incoming, keep: int) -> np.ndarray:
     if not axes:
         return acc.copy()
     return acc.sum(axis=axes)
+
+
+def _dual_multiply(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(a[0] + eps a[1]) * (b[0] + eps b[1]) with eps**2 = 0, into `out`."""
+    eps_part = a[0] * b[1]
+    eps_part += a[1] * b[0]
+    np.multiply(a[0], b[0], out=out[0])
+    out[1] = eps_part
+    return out
+
+
+def dual_scan_tangent(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The eps-part of leave_one_out(x + eps*t) along axis 0, by `_scan` over
+    the (n, 2, ...) stack of values and tangents; zeros for n < 2."""
+    if x.shape[0] < 2:
+        return np.zeros_like(x)
+    return _scan(np.stack((x, t), axis=1), _dual_multiply)[:, 1]
 
 
 @dataclass

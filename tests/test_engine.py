@@ -866,14 +866,13 @@ for g in (build_graph(num_vars, d, dense, unary=unary),
 """
 
 # a 3-layer neural forward on 500 nodes and 600 low-rank factors of arity 2-6
-# with shared parameters, at the train-step benchmark's d_h and rank; the
-# backward is left out, as its mlp/w1 and mlp/w2 gradients reduce over all
-# nodes in one BLAS matmul, which does depend on the thread count
+# with shared parameters, at the train-step benchmark's d_h and rank; prints
+# the sha256 of its output states. BACKWARD_DIGESTS runs its backward too
 FORWARD_DIGESTS = """
 import hashlib
 import numpy as np
 from lrbp.graph import FactorBinding, LowRankPayload, build_graph
-from lrbp.neural import HiddenStates, forward_stack, graph_slot_ids, init_layer_params
+from lrbp.neural import HiddenStates, backward_stack, forward_stack, graph_slot_ids, init_layer_params
 from lrbp.tensors import cp_random
 
 rng = np.random.default_rng(88)
@@ -886,8 +885,19 @@ for _ in range(600):
     bindings.append(FactorBinding(scope, LowRankPayload(f"p{n}.{rng.integers(4)}")))
 g = build_graph(num_vars, 2, bindings, params=params)
 p = init_layer_params(graph_slot_ids(g), d_h=32, rank=16, seed=1)
-h, _ = forward_stack(HiddenStates(rng.standard_normal((num_vars, 32))), g, p, layers=3)
+h, tapes = forward_stack(HiddenStates(rng.standard_normal((num_vars, 32))), g, p, layers=3)
 print(hashlib.sha256(h.values.tobytes()).hexdigest())
+"""
+
+# FORWARD_DIGESTS, then the backward of an upstream drawn after it; prints the
+# sha256 of the slot/w_in and slot/w_out gradients and the input gradient.
+# The mlp/w1 and mlp/w2 gradients are left out: each reduces over all nodes in
+# one BLAS matmul, which does depend on the thread count
+BACKWARD_DIGESTS = FORWARD_DIGESTS + """
+grads = {name: np.zeros_like(a) for name, a in p.arrays.items()}
+dh = backward_stack(tapes, rng.standard_normal((num_vars, 32)), grads)
+print(hashlib.sha256(b"".join(a.tobytes() for a in (grads["slot/w_in"], grads["slot/w_out"], dh)))
+      .hexdigest())
 """
 
 
@@ -912,6 +922,10 @@ class TestThreadInvariance:
     def test_neural_forward_is_bitwise_equal_at_one_and_two_blas_threads(self):
         # the MLP's (500, 32) @ (32, 64) products are the layer's largest
         self.assert_same_digests_at_one_and_two_threads(FORWARD_DIGESTS, lines=1)
+
+    def test_neural_slot_and_input_gradients_are_bitwise_equal_at_one_and_two_blas_threads(self):
+        # a slot shared by many edges sums its gradient over them in one batched matmul
+        self.assert_same_digests_at_one_and_two_threads(BACKWARD_DIGESTS, lines=2)
 
 
 class TestExactMarginals:

@@ -1055,3 +1055,76 @@ class TestSlotRows:
         assert same_bits(out_p, out_q) and same_bits(dh_p, dh_q)
         for name, a in grads_p.items():
             assert same_bits(a, grads_q[name][perm] if name.startswith("slot/") else grads_q[name]), name
+
+
+class TestStackPlan:
+    """A stack builds one plan, its gathered slot weights, buffers and views,
+    and shares it with every layer and tape; a layer called alone builds its
+    own."""
+
+    SCOPES = [(0, 1, 2), (2, 3), (1, 3, 4, 5), (0, 5), (4, 2, 0)]
+
+    def graph(self, shared):
+        # shared: five factors over four slot ids; unshared: one slot per edge
+        slots = [("a", "b", "c"), ("a", "b"), ("c", "b", "a", "d"), ("d", "a"), ("b", "c", "d")]
+        return lowrank_graph(6, self.SCOPES, slots if shared else None)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_stack_is_the_chain_of_lone_layers_bitwise(self, shared):
+        g = self.graph(shared)
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=7)
+        rng = np.random.default_rng(8)
+        h = HiddenStates(rng.standard_normal((g.num_vars, 3)))
+        upstream = rng.standard_normal((g.num_vars, 3))
+        out, tapes = forward_stack(h, g, p, layers=3)
+        grads = {name: np.zeros_like(a) for name, a in p.arrays.items()}
+        dh = backward_stack(tapes, upstream, grads)
+        assert all(t.plan is tapes[0].plan for t in tapes)
+        cur, chain = h, []
+        for _ in range(3):
+            cur, tape = lrbp_forward(cur, g, p)
+            chain.append(tape)
+        chain_grads = {name: np.zeros_like(a) for name, a in p.arrays.items()}
+        chain_dh = upstream
+        for tape in reversed(chain):
+            chain_dh = lrbp_backward(tape, chain_dh, chain_grads)
+        assert len({id(t.plan) for t in chain}) == 3
+        assert same_bits(out.values, cur.values) and same_bits(dh, chain_dh)
+        for a, b in zip(tapes, chain):
+            assert same_bits(a.h_in, b.h_in) and same_bits(a.z, b.z)
+        for name, a in grads.items():
+            assert same_bits(a, chain_grads[name]), name
+
+    def test_an_in_place_edit_reaches_the_next_stack(self):
+        g = self.graph(shared=True)
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=9)
+        h = HiddenStates(np.random.default_rng(10).standard_normal((g.num_vars, 3)))
+        before, _ = forward_stack(h, g, p, layers=2)
+        p.arrays["slot/w_in"][1] *= 2.0
+        after, _ = forward_stack(h, g, p, layers=2)
+        copied = LayerParams(p.slot_ids, {k: a.copy() for k, a in p.arrays.items()})
+        fresh, _ = forward_stack(h, g, copied, layers=2)
+        assert not np.array_equal(before.values, after.values)
+        assert same_bits(after.values, fresh.values)
+
+    def test_scratch_reuse_keeps_each_backward_its_own(self):
+        # the tapes of a stack share the plan's scratch: a backward in any
+        # order, or repeated, or after another stack's forward, reads the same
+        g = self.graph(shared=True)
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=11)
+        rng = np.random.default_rng(12)
+        h = HiddenStates(rng.standard_normal((g.num_vars, 3)))
+        out, tapes = forward_stack(h, g, p, layers=3)
+        upstream = rng.standard_normal(out.values.shape)
+
+        def backward():
+            grads = {name: np.zeros_like(a) for name, a in p.arrays.items()}
+            return backward_stack(tapes, upstream, grads), grads
+
+        dh, grads = backward()
+        layer_grads(tapes[0], upstream)
+        forward_stack(HiddenStates(rng.standard_normal((g.num_vars, 3))), g, p, layers=3)
+        again, again_grads = backward()
+        assert same_bits(dh, again)
+        for name, a in grads.items():
+            assert same_bits(a, again_grads[name]), name

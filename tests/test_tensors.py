@@ -14,7 +14,7 @@ from lrbp.tensors import (
     leave_one_out,
     leave_one_out_tangent,
 )
-from reference import marginalize_product
+from reference import dual_scan_tangent, marginalize_product
 
 
 def expand_oracle(weights):
@@ -253,3 +253,25 @@ class TestLeaveOneOutTangent:
             scale[l] += np.abs(term)
         got = leave_one_out_tangent(x, t)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arity=st.integers(1, 8),
+        slab=st.sampled_from([(1,), (3,), (2, 5)]),
+        special=st.sampled_from([0.0, 0.3, 0.7]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_stacked_dual_scan_bitwise(self, arity, slab, special, seed):
+        # `special` of the entries of x and of t are exact zeros, -0.0, +-inf
+        # or NaN, the rest negative and positive; every bit, NaN payloads and
+        # signed zeros included, is that of the scan over the stacked pairs
+        rng = np.random.default_rng(seed)
+        x, t = rng.standard_normal((2, arity) + slab) * 4.0
+        for a in (x, t):
+            pick = rng.uniform(size=a.shape) < special
+            a[pick] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(pick.sum()))
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf, inf - inf
+            got = leave_one_out_tangent(x, t)
+            want = dual_scan_tangent(x, t)
+        assert got.shape == want.shape == x.shape
+        assert got.tobytes() == want.tobytes()
