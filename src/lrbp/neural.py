@@ -21,22 +21,24 @@ other order through one gather (`g.slots.to_blocks`, `from_blocks`); each
 degree bucket sums its slot-order rows, `g.slots.buckets`, which are built
 with the slot index, not per layer. Errors still name edges in the edge
 order of `lrbp.graph`.
-Graph slots bind to parameter rows by slot id. What the layers of one stack
-share, since it depends only on the graph, the params and the layer count,
-is built once per `forward_stack` into a plan that every layer reads and
-each tape carries to the backward: each slot group's parameter rows and its
-gathered slot/w_in and slot/w_out rows, every layer's u and loo in one
-buffer, one scratch buffer per edge array the forward or backward overwrites,
-and each group and block view of them. A plan lives for one stack and is
-never cached, so an in-place edit of the params reaches the next stack; a
-lone `lrbp_forward` builds its own. Its hand-derived backward takes the
-leave-two-out sums from `tensors.leave_one_out_tangent`, the same slab scan
-over dual numbers, never by division.
+Graph slots bind to parameter rows by slot id. A stack of layers runs in
+one way: `forward_stack` builds one `Tape` per stack, before its first layer,
+and `backward_stack` reads it back, layer by layer. The tape holds the graph
+and the params; what every layer shares, since it depends only on them and
+the layer count: each slot group's parameter rows and its gathered
+slot/w_in and slot/w_out rows, every layer's u and loo in one buffer, one
+scratch buffer per edge array the forward or backward overwrites, and each
+group and block view of them; and, appended by the forward, each layer's
+input states, aggregate and MLP pre-activations. A tape lives for one stack
+and is never cached, so an in-place edit of the params reaches the next
+stack. The hand-derived backward takes the leave-two-out sums from
+`tensors.leave_one_out_tangent`, the same slab scan over dual numbers, never
+by division.
 Parameters are read-only during a step; all update functions return fresh structures.
 
 A `LayerParams` holds its slot ids and one table of arrays keyed by name.
 Gradients, Adam moments and checkpoints use the same names:
-`lrbp_backward` adds each layer's gradients into a table the caller owns, and a
+`backward_stack` adds each layer's gradients into a table the caller owns, and a
 checkpoint is the JSON object {"d_h", "rank", "slots", "arrays", "optimizer":
 null | {"step", "m", "v"}}.
 """
@@ -180,11 +182,13 @@ def replace_arrays(p: LayerParams, named: dict[str, np.ndarray]) -> LayerParams:
     return LayerParams(p.slot_ids, named)
 
 
-class _Plan:
-    """One stack's plan (see the module docstring); `layers` sizes its
-    per-layer buffers, and an unmapped slot id raises ValueError naming its
-    first edge. The forward of layer l fills u[l] and loo[l] and uses the
-    rest as scratch, and so does each backward."""
+class Tape:
+    """One stack's tape (see the module docstring), built by `forward_stack`
+    before its first layer; `layers` sizes u and loo, and an unmapped slot id
+    raises ValueError naming its first edge. Layer l's forward fills u[l] and
+    loo[l], appends its input states, aggregate and MLP pre-activations to
+    h_in, agg and z, and overwrites the scratch; a backward overwrites the
+    scratch and reads the rest, so it may run any number of times."""
 
     def __init__(self, g: FactorGraph, p: LayerParams, layers: int):
         sl, blocks = g.slots, g.layout.lowrank + g.layout.dense
@@ -192,6 +196,7 @@ class _Plan:
         if np.any(rows < 0):  # ids are in first-appearance order, so the first bad edge is named
             k = np.flatnonzero(rows < 0)[0]
             raise ValueError(f"factor {g.layout.fac[sl.slot == k][0]}: unmapped slot id {sl.ids[k]!r}")
+        self.graph, self.params = g, p
         # per slot group, the rows of p's slot arrays of its slots, and those rows of each
         self.rows = tuple(rows[s] for s, _ in sl.groups)
         self.w_in, self.w_out = (tuple(p.arrays[name][r] for r in self.rows)
@@ -209,145 +214,110 @@ class _Plan:
         self.block_rows = _views(blocks, self.u_slots, self.du)
         self.u_blocks = [[x for (x,) in _views(blocks, u)] for u in self.u]
         self.loo_groups = [[x for (x,) in _views(sl.groups, loo)] for loo in self.loo]
-
-
-@dataclass
-class Tape:
-    """Forward intermediates needed by the hand-derived backward pass. The
-    layer's u and loo are row `layer` of its plan's, and the tapes of one
-    stack share that plan, its gathered slot weights and its scratch: run
-    the backward passes of one stack one at a time, as backward_stack does."""
-
-    params: LayerParams
-    h_in: np.ndarray
-    graph: FactorGraph  # its layout and slots index the plan's edge arrays
-    plan: _Plan
-    layer: int
-    agg: np.ndarray
-    z: np.ndarray  # MLP pre-activations
-
-
-def lrbp_forward(h: HiddenStates, g: FactorGraph, p: LayerParams) -> tuple[HiddenStates, Tape]:
-    """One message-passing layer; returns the new states and the tape.
-
-    Deterministic: repeated calls on identical inputs are bitwise equal.
-    Raises on unmapped slot ids and on non-finite intermediates.
-    """
-    return _layer(h, g, p, None, 0, 1)
-
-
-def _layer(h: HiddenStates, g: FactorGraph, p: LayerParams, plan: _Plan | None, layer: int,
-           layers: int) -> tuple[HiddenStates, Tape]:
-    """`lrbp_forward` as layer `layer` of a stack of `layers` with this plan,
-    which is built here when None."""
-    values = h.values
-    if values.shape != (g.num_vars, p.d_h):
-        raise ValueError(
-            f"hidden states have shape {values.shape}, expected {(g.num_vars, p.d_h)}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("non-finite input hidden states")
-    plan = _Plan(g, p, layers) if plan is None else plan
-
-    lay, sl, w = g.layout, g.slots, p.arrays
-    msg, u_slots = plan.states, plan.u_slots
-    np.take(values, sl.var, axis=0, out=msg, mode="clip")
-    # overflow shows as the non-finite message below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for w_in, (x, out, _, _) in zip(plan.w_in, plan.group_rows):
-            np.matmul(x, w_in, out=out)  # (S_c, c, d_h) @ (S_c, d_h, R)
-        np.take(u_slots, sl.to_blocks, axis=0, out=plan.u[layer], mode="clip")
-        for x, (out, _) in zip(plan.u_blocks[layer], plan.block_rows):
-            out[...] = leave_one_out(x)
-        np.take(u_slots, sl.from_blocks, axis=0, out=plan.loo[layer], mode="clip")
-        for w_out, x, (out, _, _, _) in zip(plan.w_out, plan.loo_groups[layer], plan.group_rows):
-            np.matmul(x, w_out.transpose(0, 2, 1), out=out)
-        if not np.isfinite(msg.sum()):  # a finite sum may overflow, so the rows decide
-            bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
-            if bad.size:
-                e = sl.edges[bad].min()
-                raise FloatingPointError(
-                    f"non-finite message from factor {lay.fac[e]} into node {lay.var[e]}")
-    agg = np.zeros_like(values)
-    for vs, e in sl.buckets:
-        agg[vs] = msg[e].sum(axis=0)  # each column in edge order
-
-    z = agg @ w["mlp/w1"].T
-    z += w["mlp/b1"]
-    out = np.maximum(z, 0.0) @ w["mlp/w2"].T
-    out += w["mlp/b2"]
-    out += values
-    return HiddenStates(out), Tape(params=p, h_in=values, graph=g, plan=plan, layer=layer,
-                                   agg=agg, z=z)
-
-
-def lrbp_backward(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Exact reverse-mode gradients of one layer; returns the gradient w.r.t.
-    the layer's input states.
-
-    `upstream` is the loss gradient w.r.t. the layer's output states. The
-    parameter gradients are added in place into `grads`, the caller's table
-    keyed like named_arrays; each slot adds into its row. The gradient w.r.t.
-    u_l sums dloo_k times the product over the slots other than k and l, for
-    k != l, in one `leave_one_out_tangent` pass (no division by possibly-zero
-    factors). Overflow shows as non-finite values, not as numpy warnings.
-    """
-    w = tape.params.arrays
-    upstream = _float_array(upstream, "upstream gradient", copy=False)
-    if upstream.shape != tape.h_in.shape:
-        raise ValueError(
-            f"upstream gradient shape {upstream.shape} != states shape {tape.h_in.shape}"
-        )
-    sl, plan, layer = tape.graph.slots, tape.plan, tape.layer
-    dmsg, dloo, du = plan.dmsg, plan.dloo, plan.du
-    with np.errstate(over="ignore", invalid="ignore"):
-        grads["mlp/b2"] += upstream.sum(axis=0)
-        grads["mlp/w2"] += upstream.T @ np.maximum(tape.z, 0.0)
-        dz = (upstream @ w["mlp/w2"]) * (tape.z > 0)
-        grads["mlp/b1"] += dz.sum(axis=0)
-        grads["mlp/w1"] += dz.T @ tape.agg
-        np.take(dz @ w["mlp/w1"], sl.var, axis=0, out=dmsg, mode="clip")
-        for r, w_out, loo, (_, _, dm, out) in zip(plan.rows, plan.w_out, plan.loo_groups[layer],
-                                                  plan.group_rows):
-            grads["slot/w_out"][r] += dm.transpose(0, 2, 1) @ loo
-            np.matmul(dm, w_out, out=out)
-        # in block order, each block's du overwrites the dloo it was computed from
-        np.take(dloo, sl.to_blocks, axis=0, out=du, mode="clip")
-        for x, (_, t) in zip(plan.u_blocks[layer], plan.block_rows):
-            t[...] = leave_one_out_tangent(x, t)
-        # dloo now holds du in slot order, and dmsg the state gather, then
-        # group by group the gradient w.r.t. each edge's state
-        np.take(du, sl.from_blocks, axis=0, out=dloo, mode="clip")
-        np.take(tape.h_in, sl.var, axis=0, out=dmsg, mode="clip")
-        for r, w_in, (_, _, x, d_u) in zip(plan.rows, plan.w_in, plan.group_rows):
-            grads["slot/w_in"][r] += x.transpose(0, 2, 1) @ d_u
-            np.matmul(d_u, w_in.transpose(0, 2, 1), out=x)
-        dh = upstream.copy()  # residual path
-        for vs, e in sl.buckets:
-            dh[vs] += dmsg[e].sum(axis=0)
-    return dh
+        self.h_in, self.agg, self.z = [], [], []
 
 
 def forward_stack(
     h: HiddenStates, g: FactorGraph, p: LayerParams, layers: int
-) -> tuple[HiddenStates, list[Tape]]:
-    """`layers` (an integer >= 0) forward passes with shared parameters; the
-    first builds the stack's plan, and every layer and tape shares it."""
-    tapes, cur, plan = [], h, None
+) -> tuple[HiddenStates, Tape]:
+    """`layers` (an integer >= 0) message-passing layers with shared
+    parameters; returns the new states and the stack's tape.
+
+    Deterministic: repeated calls on identical inputs are bitwise equal.
+    At any layer count, states not of shape (num_vars, d_h), an unmapped
+    slot id or a dense factor without slot ids raise ValueError; non-finite
+    input states to a layer, or a non-finite message, raise
+    FloatingPointError.
+    """
     layers = _integer(layers, "layers", 0)
+    values = h.values
+    if values.shape != (g.num_vars, p.d_h):
+        raise ValueError(f"hidden states have shape {values.shape}, expected {(g.num_vars, p.d_h)}")
+    tape = Tape(g, p, layers)
+    lay, sl, w = g.layout, g.slots, p.arrays
+    msg, u_slots = tape.states, tape.u_slots
     for layer in range(layers):
-        cur, tape = _layer(cur, g, p, plan, layer, layers)
-        plan = tape.plan
-        tapes.append(tape)
-    return cur, tapes
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError("non-finite input hidden states")
+        np.take(values, sl.var, axis=0, out=msg, mode="clip")
+        # overflow shows as the non-finite message below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w_in, (x, out, _, _) in zip(tape.w_in, tape.group_rows):
+                np.matmul(x, w_in, out=out)  # (S_c, c, d_h) @ (S_c, d_h, R)
+            np.take(u_slots, sl.to_blocks, axis=0, out=tape.u[layer], mode="clip")
+            for x, (out, _) in zip(tape.u_blocks[layer], tape.block_rows):
+                out[...] = leave_one_out(x)
+            np.take(u_slots, sl.from_blocks, axis=0, out=tape.loo[layer], mode="clip")
+            for w_out, x, (out, _, _, _) in zip(tape.w_out, tape.loo_groups[layer], tape.group_rows):
+                np.matmul(x, w_out.transpose(0, 2, 1), out=out)
+            if not np.isfinite(msg.sum()):  # a finite sum may overflow, so the rows decide
+                bad = np.flatnonzero(~np.isfinite(msg).all(axis=1))
+                if bad.size:
+                    e = sl.edges[bad].min()
+                    raise FloatingPointError(
+                        f"non-finite message from factor {lay.fac[e]} into node {lay.var[e]}")
+        agg = np.zeros_like(values)
+        for vs, e in sl.buckets:
+            agg[vs] = msg[e].sum(axis=0)  # each column in edge order
+
+        z = agg @ w["mlp/w1"].T
+        z += w["mlp/b1"]
+        out = np.maximum(z, 0.0) @ w["mlp/w2"].T
+        out += w["mlp/b2"]
+        out += values
+        tape.h_in.append(values)
+        tape.agg.append(agg)
+        tape.z.append(z)
+        values = out
+    return HiddenStates(values), tape
 
 
-def backward_stack(tapes: list[Tape], upstream: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Backward through a stack of shared-parameter layers, adding every
-    layer's gradients into `grads`; returns the gradient w.r.t. the stack's
-    input states (`upstream` itself for an empty stack)."""
-    for tape in reversed(tapes):
-        upstream = lrbp_backward(tape, upstream, grads)
+def backward_stack(tape: Tape, upstream: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Exact reverse-mode gradients of the stack that recorded `tape`; returns
+    the gradient w.r.t. its input states (`upstream` itself for no layers).
+
+    `upstream` is the loss gradient w.r.t. the stack's output states. The
+    parameter gradients of every layer are added in place into `grads`, the
+    caller's table keyed like named_arrays; each slot adds into its row. The
+    gradient w.r.t. u_l sums dloo_k times the product over the slots other
+    than k and l, for k != l, in one `leave_one_out_tangent` pass (no
+    division by possibly-zero factors). Overflow shows as non-finite
+    values, not as numpy warnings. A tape may be read any number of times.
+    """
+    g, w = tape.graph, tape.params.arrays
+    upstream = _float_array(upstream, "upstream gradient", copy=False)
+    shape = (g.num_vars, tape.params.d_h)
+    if upstream.shape != shape:
+        raise ValueError(f"upstream gradient shape {upstream.shape} != states shape {shape}")
+    sl, dmsg, dloo, du = g.slots, tape.dmsg, tape.dloo, tape.du
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in reversed(range(len(tape.z))):
+            z = tape.z[layer]
+            grads["mlp/b2"] += upstream.sum(axis=0)
+            grads["mlp/w2"] += upstream.T @ np.maximum(z, 0.0)
+            dz = (upstream @ w["mlp/w2"]) * (z > 0)
+            grads["mlp/b1"] += dz.sum(axis=0)
+            grads["mlp/w1"] += dz.T @ tape.agg[layer]
+            np.take(dz @ w["mlp/w1"], sl.var, axis=0, out=dmsg, mode="clip")
+            del dz  # so that no two layers' dz are alive at once
+            for r, w_out, loo, (_, _, dm, out) in zip(tape.rows, tape.w_out, tape.loo_groups[layer],
+                                                      tape.group_rows):
+                grads["slot/w_out"][r] += dm.transpose(0, 2, 1) @ loo
+                np.matmul(dm, w_out, out=out)
+            # in block order, each block's du overwrites the dloo it was computed from
+            np.take(dloo, sl.to_blocks, axis=0, out=du, mode="clip")
+            for x, (_, t) in zip(tape.u_blocks[layer], tape.block_rows):
+                t[...] = leave_one_out_tangent(x, t)
+            # dloo now holds du in slot order, and dmsg the state gather, then
+            # group by group the gradient w.r.t. each edge's state
+            np.take(du, sl.from_blocks, axis=0, out=dloo, mode="clip")
+            np.take(tape.h_in[layer], sl.var, axis=0, out=dmsg, mode="clip")
+            for r, w_in, (_, _, x, d_u) in zip(tape.rows, tape.w_in, tape.group_rows):
+                grads["slot/w_in"][r] += x.transpose(0, 2, 1) @ d_u
+                np.matmul(d_u, w_in.transpose(0, 2, 1), out=x)
+            upstream = upstream.copy()  # residual path
+            for vs, e in sl.buckets:
+                upstream[vs] += dmsg[e].sum(axis=0)
     return upstream
 
 
@@ -420,9 +390,12 @@ def train_step(
     not finite, or whose forward pass raises `FloatingPointError` on any graph
     (a non-finite message or input), aborts: it returns the parameters and
     optimizer state it was given, and loss NaN. An empty batch, a graph
-    without nodes, an `lr` that is not a finite real >= 0, or a target that
-    is not out_dim real numbers raises ValueError before any forward pass,
-    naming the target by its position in the batch. Returns
+    without nodes, an `lr` that is not a finite real >= 0, a target that is
+    not out_dim real numbers (named by its position in the batch), or an
+    opt_state whose m or v lacks a name of p's table, holds another or
+    shapes a moment unlike its array (the first such moment is named)
+    raises ValueError before any forward pass; so does, in the forward
+    pass, anything `forward_stack` refuses with ValueError. Returns
     (params, opt_state, loss).
     """
     if not batch or any(g.num_vars == 0 for g, _, _ in batch):
@@ -438,11 +411,19 @@ def train_step(
                              f"expected out_dim {out_dim}")
         targets.append(target.reshape(out_dim))
     named = named_arrays(p)
+    for key in ("m", "v") if opt_state is not None else ():
+        moments = getattr(opt_state, key)
+        for name in dict.fromkeys([*named, *moments]):  # table order, then the extras
+            if name not in moments or name not in named:
+                raise ValueError(f"opt_state.{key} {'lacks' if name in named else 'holds'} {name!r}")
+            if np.shape(moments[name]) != named[name].shape:
+                raise ValueError(f"opt_state.{key}[{name!r}] has shape {np.shape(moments[name])}, "
+                                 f"expected {named[name].shape}")
     grads = {k: np.zeros_like(a) for k, a in named.items()}
     total_loss = 0.0
     for (g, h0, _), target in zip(batch, targets):
         try:
-            h_t, tapes = forward_stack(h0, g, p, layers)
+            h_t, tape = forward_stack(h0, g, p, layers)
         except FloatingPointError:
             return p, opt_state, float("nan")
         mean = node_mean(h_t.values)  # readout(h_t, p), with its mean taken once
@@ -453,8 +434,8 @@ def train_step(
         grads["readout/b"] += dpred
         dmean = named["readout/w"].T @ dpred
         n_nodes = h_t.values.shape[0]
-        backward_stack(tapes, np.tile(dmean / n_nodes, (n_nodes, 1)), grads)
-        del tapes  # so that one graph's plan and tapes are alive at a time
+        backward_stack(tape, np.tile(dmean / n_nodes, (n_nodes, 1)), grads)
+        del tape  # so that one graph's tape is alive at a time
     scale = 1.0 / len(batch)
     total_loss *= scale
     grads = {k: v * scale for k, v in grads.items()}
@@ -528,4 +509,4 @@ def load_checkpoint(path) -> tuple[LayerParams, AdamState | None]:
         return p, None
     moments = [table(entry(dict, opt, k, "optimizer/"), f"optimizer/{k}/", f"optimizer {k} of ")
                for k in "mv"]
-    return p, AdamState(entry(integer, opt, "step", "optimizer/"), *moments)
+    return p, AdamState(entry(partial(integer, minimum=0), opt, "step", "optimizer/"), *moments)

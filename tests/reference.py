@@ -185,12 +185,12 @@ def grad_check(
     h0 = HiddenStates(rng.standard_normal((g.num_vars, p.d_h)))
 
     def output_and_masks():
-        out, tapes = neural.forward_stack(h0, g, p, layers)
-        return out.values, [t.z > 0 for t in tapes]
+        out, tape = neural.forward_stack(h0, g, p, layers)
+        return out.values, [z > 0 for z in tape.z]
 
-    h_t, tapes = neural.forward_stack(h0, g, p, layers)
+    h_t, tape = neural.forward_stack(h0, g, p, layers)
     grads = {name: np.zeros_like(arr) for name, arr in p.arrays.items()}
-    neural.backward_stack(tapes, 2.0 * h_t.values, grads)
+    neural.backward_stack(tape, 2.0 * h_t.values, grads)
 
     worst = 0.0
     worst_name = None

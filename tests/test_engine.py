@@ -568,9 +568,9 @@ class TestEdgeLayout:
         g = random_loopy_graph(3, 3, [(2, 2, True), (3, 4, True), (4, 1, True)], isolated=1)
         assert len(builds) == 1  # with the graph
         p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2)
-        _, tapes = forward_stack(HiddenStates(np.ones((g.num_vars, 3))), g, p, layers=3)
+        _, tape = forward_stack(HiddenStates(np.ones((g.num_vars, 3))), g, p, layers=3)
         # the neural layer reads no CP weights, so it builds no blocks of them
-        assert "cp_blocks" not in g.__dict__ and all(t.graph is g for t in tapes)
+        assert "cp_blocks" not in g.__dict__ and tape.graph is g
         run_lbp(g)
         assert len(builds) == 1
         lay = g.layout
@@ -885,7 +885,7 @@ for _ in range(600):
     bindings.append(FactorBinding(scope, LowRankPayload(f"p{n}.{rng.integers(4)}")))
 g = build_graph(num_vars, 2, bindings, params=params)
 p = init_layer_params(graph_slot_ids(g), d_h=32, rank=16, seed=1)
-h, tapes = forward_stack(HiddenStates(rng.standard_normal((num_vars, 32))), g, p, layers=3)
+h, tape = forward_stack(HiddenStates(rng.standard_normal((num_vars, 32))), g, p, layers=3)
 print(hashlib.sha256(h.values.tobytes()).hexdigest())
 """
 
@@ -895,7 +895,7 @@ print(hashlib.sha256(h.values.tobytes()).hexdigest())
 # one BLAS matmul, which does depend on the thread count
 BACKWARD_DIGESTS = FORWARD_DIGESTS + """
 grads = {name: np.zeros_like(a) for name, a in p.arrays.items()}
-dh = backward_stack(tapes, rng.standard_normal((num_vars, 32)), grads)
+dh = backward_stack(tape, rng.standard_normal((num_vars, 32)), grads)
 print(hashlib.sha256(b"".join(a.tobytes() for a in (grads["slot/w_in"], grads["slot/w_out"], dh)))
       .hexdigest())
 """

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lrbp import neural
 from lrbp.engine import _lowrank_messages
 from lrbp.graph import (
+    DensePayload,
     FactorBinding,
     GraphError,
     LowRankPayload,
@@ -17,6 +18,7 @@ from lrbp.graph import (
     factor_slots,
 )
 from lrbp.neural import (
+    AdamState,
     HiddenStates,
     LayerParams,
     adam_init,
@@ -26,8 +28,6 @@ from lrbp.neural import (
     graph_slot_ids,
     init_layer_params,
     load_checkpoint,
-    lrbp_backward,
-    lrbp_forward,
     named_arrays,
     readout,
     replace_arrays,
@@ -92,7 +92,7 @@ class TestForward:
         g = lowrank_graph(3, [(0, 1), (1, 2)])
         p = zero_mlp_output(init_layer_params(graph_slot_ids(g), d_h=4, rank=2, seed=1))
         h = HiddenStates(np.random.default_rng(2).standard_normal((3, 4)))
-        out, _ = lrbp_forward(h, g, p)
+        out, _ = forward_stack(h, g, p, 1)
         assert np.array_equal(out.values, h.values)
 
     def test_two_node_hand_expansion(self):
@@ -109,19 +109,19 @@ class TestForward:
         named["slot/w_out"] = np.stack([e1, e1])
         p = identity_mlp(replace_arrays(p, named))
         h = HiddenStates(np.array([[0.3, -0.7, 0.2], [0.9, 0.4, -0.1]]))
-        out, tape = lrbp_forward(h, g, p)
+        out, tape = forward_stack(h, g, p, 1)
         expected_msg_0 = h.values[1, 0] * e1[:, 0]
         expected_msg_1 = h.values[0, 0] * e1[:, 0]
-        np.testing.assert_allclose(tape.agg[0], expected_msg_0, atol=1e-15)
-        np.testing.assert_allclose(tape.agg[1], expected_msg_1, atol=1e-15)
+        np.testing.assert_allclose(tape.agg[0][0], expected_msg_0, atol=1e-15)
+        np.testing.assert_allclose(tape.agg[0][1], expected_msg_1, atol=1e-15)
         np.testing.assert_allclose(out.values, h.values + np.vstack([expected_msg_0, expected_msg_1]), atol=1e-15)
 
     def test_deterministic(self):
         g = lowrank_graph(4, [(0, 1, 2), (2, 3)])
         p = init_layer_params(graph_slot_ids(g), d_h=5, rank=3, seed=7)
         h = HiddenStates(np.random.default_rng(8).standard_normal((4, 5)))
-        a, _ = lrbp_forward(h, g, p)
-        b, _ = lrbp_forward(h, g, p)
+        a, _ = forward_stack(h, g, p, 1)
+        b, _ = forward_stack(h, g, p, 1)
         assert np.array_equal(a.values, b.values)
 
     def test_unmapped_slot_rejected(self):
@@ -129,15 +129,15 @@ class TestForward:
         p = init_layer_params(["sa"], d_h=2, rank=2)
         h = HiddenStates(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="unmapped slot id 'sb'"):
-            lrbp_forward(h, g, p)
+            forward_stack(h, g, p, 1)
         # the first unmapped edge in edge order is named, not the first id in sorted order
         g = lowrank_graph(3, [(0, 1), (1, 2)], slot_lists=[("sa", "zz"), ("yy", "sa")])
         with pytest.raises(ValueError, match="factor 0: unmapped slot id 'zz'"):
-            lrbp_forward(HiddenStates(np.zeros((3, 2))), g, p)
+            forward_stack(HiddenStates(np.zeros((3, 2))), g, p, 1)
         # ids match exactly: a trailing NUL is part of the id
         g = lowrank_graph(2, [(0, 1)], slot_lists=[("a", "a")])
         with pytest.raises(ValueError, match="factor 0: unmapped slot id 'a'"):
-            lrbp_forward(h, g, init_layer_params(["a\x00"], d_h=2, rank=2))
+            forward_stack(h, g, init_layer_params(["a\x00"], d_h=2, rank=2), 1)
 
     # the states must also be 2-d, and (num_vars, d_h) for the graph
     @pytest.mark.parametrize("values, match", [
@@ -152,13 +152,28 @@ class TestForward:
         g = lowrank_graph(2, [(0, 1)])
         p = init_layer_params(graph_slot_ids(g), d_h=2, rank=2)
         with pytest.raises(ValueError, match=match):
-            lrbp_forward(HiddenStates(np.array(values)), g, p)
+            forward_stack(HiddenStates(np.array(values)), g, p, 1)
+
+    @pytest.mark.parametrize("layers", [0, 3])
+    def test_stack_checked_at_every_layer_count(self, layers):
+        # the states' shape, the slot ids and the graph's slots are checked
+        # once per stack, before the first layer, even when none runs
+        g = lowrank_graph(3, [(0, 1, 2)])
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2)
+        with pytest.raises(ValueError, match=r"^hidden states have shape \(5, 7\), expected \(3, 3\)$"):
+            forward_stack(HiddenStates(np.zeros((5, 7))), g, p, layers)
+        h = HiddenStates(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="^factor 0: unmapped slot id 'p0/2'$"):
+            forward_stack(h, g, init_layer_params(["p0/0", "p0/1"], d_h=3, rank=2), layers)
+        dense = build_graph(3, 2, [FactorBinding((0, 1), DensePayload(np.ones((2, 2))))])
+        with pytest.raises(ValueError, match="^factor 0 has no low-rank payload; cannot derive slots$"):
+            forward_stack(h, dense, p, layers)
 
     def test_non_finite_input_rejected(self):
         g = lowrank_graph(2, [(0, 1)])
         p = init_layer_params(graph_slot_ids(g), d_h=2, rank=2)
         with pytest.raises(FloatingPointError):
-            lrbp_forward(HiddenStates(np.array([[np.nan, 0.0], [0.0, 0.0]])), g, p)
+            forward_stack(HiddenStates(np.array([[np.nan, 0.0], [0.0, 0.0]])), g, p, 1)
 
     def test_overflow_raises_only_floating_point_error(self):
         # arity 6 and 7 take the longest prefix and suffix products
@@ -168,7 +183,7 @@ class TestForward:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(FloatingPointError, match="non-finite message from factor 0"):
-                    lrbp_forward(HiddenStates(np.full((num_vars, 4), 1e200)), g, p)
+                    forward_stack(HiddenStates(np.full((num_vars, 4), 1e200)), g, p, 1)
 
     def test_non_finite_message_names_the_first_edge(self):
         # slot "a" has two edges, so its group follows the one-edge slots', and
@@ -183,18 +198,19 @@ class TestForward:
         values = np.ones((8, 4))
         values[[4, 5]] = 1e200
         with pytest.raises(FloatingPointError, match="^non-finite message from factor 1 into node 3$"):
-            lrbp_forward(HiddenStates(values), g, p)
+            forward_stack(HiddenStates(values), g, p, 1)
         values[[1, 2]] = 1e200
         with pytest.raises(FloatingPointError, match="^non-finite message from factor 0 into node 0$"):
-            lrbp_forward(HiddenStates(values), g, p)
+            forward_stack(HiddenStates(values), g, p, 1)
 
     def test_arity_one_factor_contributes_ones_product(self):
         # empty Hadamard set: message = w_out @ ones(R)
         g = lowrank_graph(1, [(0,)], slot_lists=[("s",)])
         p = zero_mlp_output(init_layer_params(["s"], d_h=3, rank=4, seed=3))
         h = HiddenStates(np.zeros((1, 3)))
-        _, tape = lrbp_forward(h, g, p)
-        np.testing.assert_allclose(tape.agg[0], slot_matrix(p, "s", "w_out") @ np.ones(4), atol=1e-15)
+        _, tape = forward_stack(h, g, p, 1)
+        expected = slot_matrix(p, "s", "w_out") @ np.ones(4)
+        np.testing.assert_allclose(tape.agg[0][0], expected, atol=1e-15)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -208,8 +224,8 @@ class TestForward:
         g_p = lowrank_graph(4, scopes_p, slot_lists=slot_lists)
         h_p = np.empty_like(h)
         h_p[perm] = h
-        out, _ = lrbp_forward(HiddenStates(h), g, p)
-        out_p, _ = lrbp_forward(HiddenStates(h_p), g_p, p)
+        out, _ = forward_stack(HiddenStates(h), g, p, 1)
+        out_p, _ = forward_stack(HiddenStates(h_p), g_p, p, 1)
         assert np.array_equal(out_p.values[perm], out.values)
 
     def test_layer_is_the_lowrank_lbp_update(self):
@@ -226,12 +242,12 @@ class TestForward:
             [factor_cp(g, a).weights for a in range(len(scopes))])
         p = replace_arrays(p, named)
         h = rng.uniform(0.1, 1.0, size=(6, 3))
-        _, tape = lrbp_forward(HiddenStates(h), g, p)
+        _, tape = forward_stack(HiddenStates(h), g, p, 1)
         expected = np.zeros_like(h)
         for a, scope in enumerate(scopes):
             w = factor_cp(g, a).weights[:, None]
             np.add.at(expected, list(scope), _lowrank_messages(w, h[list(scope)][:, None])[:, 0])
-        assert np.max(np.abs(tape.agg - expected)) <= 1e-12
+        assert np.max(np.abs(tape.agg[0] - expected)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -250,13 +266,13 @@ class TestForward:
         g = lowrank_graph(6 + isolated, scopes, slot_lists=slot_lists)
         p = init_layer_params([f"s{k}" for k in range(num_slot_ids)], d_h=3, rank=rank, seed=seed)
         h = rng.standard_normal((6 + isolated, 3))
-        out, tape = lrbp_forward(HiddenStates(h), g, p)
-        assert np.max(np.abs(tape.agg - reference_agg(g, p, h)), initial=0.0) <= 1e-12
+        out, tape = forward_stack(HiddenStates(h), g, p, 1)
+        assert np.max(np.abs(tape.agg[0] - reference_agg(g, p, h)), initial=0.0) <= 1e-12
 
         perm = rng.permutation(len(scopes))
         g_p = lowrank_graph(6 + isolated, [scopes[a] for a in perm],
                             slot_lists=[slot_lists[a] for a in perm])
-        out_p, _ = lrbp_forward(HiddenStates(h), g_p, p)
+        out_p, _ = forward_stack(HiddenStates(h), g_p, p, 1)
         assert np.max(np.abs(out_p.values - out.values)) <= 1e-12
 
 
@@ -278,9 +294,9 @@ def fd_loss_grads(loss_fn, p, eps=1e-6):
 
 
 def layer_grads(tape, upstream):
-    """One layer's backward into a zeroed table: (parameter grads, input-state grads)."""
+    """A tape's backward into a zeroed table: (parameter grads, input-state grads)."""
     grads = {name: np.zeros_like(a) for name, a in named_arrays(tape.params).items()}
-    return grads, lrbp_backward(tape, upstream, grads)
+    return grads, backward_stack(tape, upstream, grads)
 
 
 class TestBackward:
@@ -292,45 +308,45 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_grads(self):
         g, p, h = self.make_case()
-        _, tape = lrbp_forward(h, g, p)
+        _, tape = forward_stack(h, g, p, 1)
         grads, dh = layer_grads(tape, np.zeros_like(h.values))
         assert all(np.all(v == 0) for v in grads.values())
         assert np.all(dh == 0)
 
     def test_backward_adds_into_callers_table(self):
         g, p, h = self.make_case(seed=2)
-        _, tape = lrbp_forward(h, g, p)
+        _, tape = forward_stack(h, g, p, 1)
         up = np.random.default_rng(4).standard_normal(h.values.shape)
         fresh, dh = layer_grads(tape, up)
         table = {name: np.ones_like(a) for name, a in named_arrays(p).items()}
         arrays = dict(table)
-        assert np.array_equal(lrbp_backward(tape, up, table), dh)
+        assert np.array_equal(backward_stack(tape, up, table), dh)
         for name, a in table.items():
             assert a is arrays[name], name  # added in place, not replaced
             assert np.array_equal(a, 1.0 + fresh[name]), name
-        # a stack adds every layer into the same table; no layers adds nothing
-        assert backward_stack([], up, table) is up
-        assert np.array_equal(backward_stack([tape], up, table), dh)
+        # a tape of no layers adds nothing and passes the upstream through
+        _, empty = forward_stack(h, g, p, 0)
+        assert backward_stack(empty, up, table) is up
         for name, a in table.items():
-            assert np.array_equal(a, 1.0 + fresh[name] + fresh[name]), name
+            assert np.array_equal(a, 1.0 + fresh[name]), name
 
     def test_first_layer_bias_zero_when_output_layer_zeroed(self):
         g, p, h = self.make_case()
         p = zero_mlp_output(p)
-        _, tape = lrbp_forward(h, g, p)
+        _, tape = forward_stack(h, g, p, 1)
         grads, _ = layer_grads(tape, np.ones_like(h.values))
         assert np.all(grads["mlp/b1"] == 0)
 
     def test_first_layer_bias_closed_form_and_fd(self):
         # loss = sum of output entries; dL/db1 = sum_i relu'(z_i) * (w2^T 1)
         g, p, h = self.make_case(seed=3)
-        _, tape = lrbp_forward(h, g, p)
+        _, tape = forward_stack(h, g, p, 1)
         grads, _ = layer_grads(tape, np.ones_like(h.values))
-        closed = ((tape.z > 0) * (p.arrays["mlp/w2"].T @ np.ones(p.d_h))).sum(axis=0)
+        closed = ((tape.z[0] > 0) * (p.arrays["mlp/w2"].T @ np.ones(p.d_h))).sum(axis=0)
         np.testing.assert_allclose(grads["mlp/b1"], closed, atol=1e-12)
 
         def loss():
-            out, _ = lrbp_forward(h, g, p)
+            out, _ = forward_stack(h, g, p, 1)
             return float(out.values.sum())
 
         fd = fd_loss_grads(loss, p)
@@ -339,12 +355,12 @@ class TestBackward:
 
     def test_all_param_grads_match_fd_single_layer(self):
         g, p, h = self.make_case(seed=5)
-        _, tape = lrbp_forward(h, g, p)
-        out, _ = lrbp_forward(h, g, p)
+        _, tape = forward_stack(h, g, p, 1)
+        out, _ = forward_stack(h, g, p, 1)
         grads, _ = layer_grads(tape, 2.0 * out.values)
 
         def loss():
-            cur, _ = lrbp_forward(h, g, p)
+            cur, _ = forward_stack(h, g, p, 1)
             return float(np.sum(cur.values**2))
 
         fd = fd_loss_grads(loss, p)
@@ -356,8 +372,8 @@ class TestBackward:
 
     def test_input_state_grads_match_fd(self):
         g, p, h = self.make_case(seed=6)
-        _, tape = lrbp_forward(h, g, p)
-        out, _ = lrbp_forward(h, g, p)
+        _, tape = forward_stack(h, g, p, 1)
+        out, _ = forward_stack(h, g, p, 1)
         _, dh = layer_grads(tape, 2.0 * out.values)
         eps = 1e-6
         vals = h.values
@@ -366,9 +382,9 @@ class TestBackward:
             for k in range(vals.shape[1]):
                 orig = vals[i, k]
                 vals[i, k] = orig + eps
-                lp = float(np.sum(lrbp_forward(HiddenStates(vals), g, p)[0].values ** 2))
+                lp = float(np.sum(forward_stack(HiddenStates(vals), g, p, 1)[0].values ** 2))
                 vals[i, k] = orig - eps
-                lm = float(np.sum(lrbp_forward(HiddenStates(vals), g, p)[0].values ** 2))
+                lm = float(np.sum(forward_stack(HiddenStates(vals), g, p, 1)[0].values ** 2))
                 vals[i, k] = orig
                 fd[i, k] = (lp - lm) / (2 * eps)
         rel = np.abs(fd - dh) / np.maximum(np.abs(fd), 1e-3)
@@ -387,8 +403,8 @@ class TestBackward:
         p_split = replace_arrays(p_split, split_named)
         h = HiddenStates(np.random.default_rng(10).standard_normal((4, 3)))
         up = np.random.default_rng(11).standard_normal((4, 3))
-        _, tape_a = lrbp_forward(h, g_shared, base)
-        _, tape_b = lrbp_forward(h, g_split, p_split)
+        _, tape_a = forward_stack(h, g_shared, base, 1)
+        _, tape_b = forward_stack(h, g_split, p_split, 1)
         ga, _ = layer_grads(tape_a, up)
         gb, _ = layer_grads(tape_b, up)
         for mat in ("slot/w_in", "slot/w_out"):
@@ -396,9 +412,11 @@ class TestBackward:
 
     def test_shape_mismatch_rejected(self):
         g, p, h = self.make_case()
-        _, tape = lrbp_forward(h, g, p)
-        with pytest.raises(ValueError, match="upstream"):
-            lrbp_backward(tape, np.zeros((2, 2)), named_arrays(p))
+        for layers in (0, 1):  # checked once per stack, and for no layers too
+            _, tape = forward_stack(h, g, p, layers)
+            with pytest.raises(ValueError, match=r"^upstream gradient shape \(2, 2\) "
+                                                 r"!= states shape \(4, 4\)$"):
+                backward_stack(tape, np.zeros((2, 2)), named_arrays(p))
 
 
 def high_arity_graph():
@@ -465,13 +483,13 @@ class TestGradCheck:
         # a backward that is off in one coordinate: grad_check must name it
         g = lowrank_graph(4, [(0, 1, 2), (2, 3)])
         p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=3)
-        real = neural.lrbp_backward
+        real = neural.backward_stack
 
         def off_by_one(tape, upstream, grads):
             grads[name][index] += 1.0
             return real(tape, upstream, grads)
 
-        monkeypatch.setattr(neural, "lrbp_backward", off_by_one)
+        monkeypatch.setattr(neural, "backward_stack", off_by_one)
         result = grad_check(g, p, seed=0, layers=1)
         assert result.worst_param == label
         assert result.max_relative_error > 0.1
@@ -553,7 +571,7 @@ class TestInit:
 
     @pytest.mark.parametrize("name", ["slot/w_in", "slot/w_out"])
     def test_slot_ids_must_match_the_slot_rows(self, name):
-        # one row short would fail inside lrbp_forward with numpy's IndexError
+        # one row short would fail inside forward_stack with numpy's IndexError
         named = named_arrays(init_layer_params(["a", "b", "c"], 3, 2))
         named[name] = named[name][:2]
         with pytest.raises(ValueError, match=f"slot_ids has 3 ids but {name} has 2 rows"):
@@ -578,7 +596,7 @@ class TestInit:
          "^readout/w must be a NumPy array of real numbers, got dtype bool$"),
     ])
     def test_table_refused(self, ids, name, value, match):
-        # each would fail later: in lrbp_forward's matmul, or when its checkpoint is loaded
+        # each would fail later: in forward_stack's matmul, or when its checkpoint is loaded
         named = named_arrays(init_layer_params(["p/0", "p/1", "p/2"], d_h=3, rank=2))
         if value is None:
             del named[name]
@@ -716,6 +734,38 @@ class TestTrainStep:
             else:
                 assert np.all(grads[name] == 0), name
                 assert same_bits(after[name], arr), name
+
+    def test_zero_layers_checks_the_states(self):
+        # no layer runs, yet states for another graph are refused, not fitted
+        g = lowrank_graph(3, [(0, 1, 2)])
+        p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=6)
+        wrong = HiddenStates(np.random.default_rng(7).standard_normal((9, 3)))
+        with pytest.raises(ValueError, match=r"^hidden states have shape \(9, 3\), expected \(3, 3\)$"):
+            train_step([(g, wrong, np.array([0.4]))], p, None, layers=0)
+
+    # `spoil` turns the AdamState of a 4-slot table into one that does not fit it
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda s: adam_init(named_arrays(init_layer_params(["a", "b", "c"], d_h=3, rank=2))),
+         r"^opt_state\.m\['slot/w_in'\] has shape \(3, 3, 2\), expected \(4, 3, 2\)$"),
+        (lambda s: AdamState(0, s.m, {k: a for k, a in s.v.items() if k != "mlp/b2"}),
+         r"^opt_state\.v lacks 'mlp/b2'$"),
+        (lambda s: AdamState(0, {**s.m, "mlp/b3": np.zeros(3)}, s.v), r"^opt_state\.m holds 'mlp/b3'$"),
+        (lambda s: AdamState(0, s.m, {**s.v, "readout/b": np.zeros((1, 1))}),
+         r"^opt_state\.v\['readout/b'\] has shape \(1, 1\), expected \(1,\)$"),
+    ], ids=["three-slot-table", "missing", "extra", "shape"])
+    def test_mismatched_opt_state_rejected_before_any_forward_pass(self, monkeypatch, spoil, match):
+        # at the three-slot table, the step would otherwise run the whole
+        # batch and then fail in adam_step on NumPy's broadcast error
+        g = lowrank_graph(4, [(0, 1, 2, 3)], slot_lists=[("a", "b", "c", "d")])
+        p = init_layer_params(["a", "b", "c", "d"], d_h=3, rank=2)
+        opt = spoil(adam_init(named_arrays(p)))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr(neural, "forward_stack", no_forward)
+        with pytest.raises(ValueError, match=match):
+            train_step([(g, HiddenStates(np.zeros((4, 3))), np.array([0.5]))], p, opt)
 
     def test_overfit_single_sample(self):
         g, p, h0 = self.make_sample(seed=3)
@@ -907,6 +957,8 @@ class TestCheckpoint:
         ("rank", True, "field rank: value must be an integer, got True"),
         ("optimizer/step", 2.7, "field optimizer/step: value must be an integer, got 2.7"),
         ("optimizer/step", True, "field optimizer/step: value must be an integer, got True"),
+        # a negative step would divide by zero in Adam's bias correction
+        ("optimizer/step", -1, "^checkpoint field optimizer/step: value must be >= 0, got -1$"),
         # arrays hold numbers: strings, bools and null are refused, not converted
         ("mlp/b2", ["1.5"] * 3, "field mlp/b2: value must be real numbers"),
         ("mlp/b2", [True] * 3, "field mlp/b2: value must be real numbers"),
@@ -999,12 +1051,12 @@ class TestSlotTables:
         p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=1)
         assert p.arrays["slot/w_in"].shape == (len(g.slots.ids), 3, 2)
         h = HiddenStates(np.random.default_rng(2).standard_normal((g.num_vars, 3)))
-        out, tape = lrbp_forward(h, g, p)
-        assert np.max(np.abs(tape.agg - reference_agg(g, p, h.values))) <= 1e-12
+        out, tape = forward_stack(h, g, p, 1)
+        assert np.max(np.abs(tape.agg[0] - reference_agg(g, p, h.values))) <= 1e-12
         grads, _ = layer_grads(tape, 2.0 * out.values)
 
         def loss():
-            cur, _ = lrbp_forward(h, g, p)
+            cur, _ = forward_stack(h, g, p, 1)
             return float(np.sum(cur.values**2))
 
         fd = fd_loss_grads(loss, p)
@@ -1047,9 +1099,9 @@ class TestSlotRows:
         h = HiddenStates(np.random.default_rng(6).standard_normal((g.num_vars, 3)))
         results = []
         for params in (p, q):
-            out, tapes = forward_stack(h, g, params, layers=3)
+            out, tape = forward_stack(h, g, params, layers=3)
             grads = {name: np.zeros_like(a) for name, a in params.arrays.items()}
-            dh = backward_stack(tapes, 2.0 * out.values, grads)
+            dh = backward_stack(tape, 2.0 * out.values, grads)
             results.append((out.values, dh, grads))
         (out_p, dh_p, grads_p), (out_q, dh_q, grads_q) = results
         assert same_bits(out_p, out_q) and same_bits(dh_p, dh_q)
@@ -1058,9 +1110,8 @@ class TestSlotRows:
 
 
 class TestStackPlan:
-    """A stack builds one plan, its gathered slot weights, buffers and views,
-    and shares it with every layer and tape; a layer called alone builds its
-    own."""
+    """A stack builds one tape, its gathered slot weights, buffers and views,
+    which every layer and the backward read."""
 
     SCOPES = [(0, 1, 2), (2, 3), (1, 3, 4, 5), (0, 5), (4, 2, 0)]
 
@@ -1071,27 +1122,27 @@ class TestStackPlan:
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_stack_is_the_chain_of_lone_layers_bitwise(self, shared):
+        # a 3-layer stack against a chain of three 1-layer stacks
         g = self.graph(shared)
         p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=7)
         rng = np.random.default_rng(8)
         h = HiddenStates(rng.standard_normal((g.num_vars, 3)))
         upstream = rng.standard_normal((g.num_vars, 3))
-        out, tapes = forward_stack(h, g, p, layers=3)
+        out, tape = forward_stack(h, g, p, layers=3)
         grads = {name: np.zeros_like(a) for name, a in p.arrays.items()}
-        dh = backward_stack(tapes, upstream, grads)
-        assert all(t.plan is tapes[0].plan for t in tapes)
+        dh = backward_stack(tape, upstream, grads)
+        assert len(tape.h_in) == len(tape.agg) == len(tape.z) == 3
         cur, chain = h, []
         for _ in range(3):
-            cur, tape = lrbp_forward(cur, g, p)
-            chain.append(tape)
+            cur, lone = forward_stack(cur, g, p, layers=1)
+            chain.append(lone)
         chain_grads = {name: np.zeros_like(a) for name, a in p.arrays.items()}
         chain_dh = upstream
-        for tape in reversed(chain):
-            chain_dh = lrbp_backward(tape, chain_dh, chain_grads)
-        assert len({id(t.plan) for t in chain}) == 3
+        for lone in reversed(chain):
+            chain_dh = backward_stack(lone, chain_dh, chain_grads)
         assert same_bits(out.values, cur.values) and same_bits(dh, chain_dh)
-        for a, b in zip(tapes, chain):
-            assert same_bits(a.h_in, b.h_in) and same_bits(a.z, b.z)
+        for layer, lone in enumerate(chain):
+            assert same_bits(tape.h_in[layer], lone.h_in[0]) and same_bits(tape.z[layer], lone.z[0])
         for name, a in grads.items():
             assert same_bits(a, chain_grads[name]), name
 
@@ -1108,23 +1159,24 @@ class TestStackPlan:
         assert same_bits(after.values, fresh.values)
 
     def test_scratch_reuse_keeps_each_backward_its_own(self):
-        # the tapes of a stack share the plan's scratch: a backward in any
-        # order, or repeated, or after another stack's forward, reads the same
+        # a stack's layers share the tape's scratch: its backward, run twice
+        # and again after another stack's forward, reads the same each time
         g = self.graph(shared=True)
         p = init_layer_params(graph_slot_ids(g), d_h=3, rank=2, seed=11)
         rng = np.random.default_rng(12)
         h = HiddenStates(rng.standard_normal((g.num_vars, 3)))
-        out, tapes = forward_stack(h, g, p, layers=3)
+        out, tape = forward_stack(h, g, p, layers=3)
         upstream = rng.standard_normal(out.values.shape)
 
         def backward():
             grads = {name: np.zeros_like(a) for name, a in p.arrays.items()}
-            return backward_stack(tapes, upstream, grads), grads
+            return backward_stack(tape, upstream, grads), grads
 
         dh, grads = backward()
-        layer_grads(tapes[0], upstream)
+        runs = [backward()]
         forward_stack(HiddenStates(rng.standard_normal((g.num_vars, 3))), g, p, layers=3)
-        again, again_grads = backward()
-        assert same_bits(dh, again)
-        for name, a in grads.items():
-            assert same_bits(a, again_grads[name]), name
+        runs.append(backward())
+        for again, again_grads in runs:
+            assert same_bits(dh, again)
+            for name, a in grads.items():
+                assert same_bits(a, again_grads[name]), name
